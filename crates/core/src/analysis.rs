@@ -8,13 +8,14 @@
 //! what makes parallel analysis exact rather than approximate.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
-//! correlated device) and per-service/per-port device sets are
-//! [`DeviceSet`] bitmaps, so `merge` is columnar addition plus word-wise
-//! ORs. Derived queries (sorted device lists, cohorts, totals) are
-//! served memoized through [`Analysis::view`].
+//! correlated device), per-service device sets are [`DeviceSet`]
+//! bitmaps and Table IV's per-port stats are a flat [`PortTable`], so
+//! `merge` is columnar addition plus word-wise ORs. Derived queries
+//! (sorted device lists, cohorts, totals) are served memoized through
+//! [`Analysis::view`].
 
 use crate::classify::{classify, TrafficClass};
-pub use crate::table::{DeviceObservation, DeviceSet, DeviceTable};
+pub use crate::table::{DeviceObservation, DeviceSet, DeviceTable, PortTable};
 use crate::view::{AnalysisView, ViewCache};
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_net::flowtuple::FlowTuple;
@@ -22,7 +23,7 @@ use iotscope_net::ports::ScanService;
 use iotscope_net::protocol::TransportProtocol;
 use iotscope_obs::{Counter, Registry};
 use iotscope_telescope::HourTraffic;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Metric-name suffixes for the five traffic classes, indexed by
 /// [`class_idx`].
@@ -133,15 +134,6 @@ pub struct ServiceStat {
     pub devices: [DeviceSet; 2],
 }
 
-/// Per-UDP-port statistics (Table IV).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortStat {
-    /// UDP packets to the port.
-    pub packets: u64,
-    /// Devices that sent them.
-    pub devices: DeviceSet,
-}
-
 /// Per-interval backscatter attribution (who dominated a DoS episode).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackscatterInterval {
@@ -179,7 +171,7 @@ pub struct Analysis {
     /// Hourly scan packets for the five Fig 10 services.
     pub top5_series: Vec<[u64; 5]>,
     /// Table IV statistics per UDP destination port.
-    pub udp_ports: HashMap<u16, PortStat>,
+    pub udp_ports: PortTable,
     /// Flows from sources not in the inventory (noise filtered out by
     /// correlation).
     pub unmatched_flows: u64,
@@ -475,7 +467,7 @@ impl<'a> Analyzer<'a> {
                 backscatter_intervals: vec![BackscatterInterval::default(); h],
                 scan_services: BTreeMap::new(),
                 top5_series: vec![[0; 5]; h],
-                udp_ports: HashMap::new(),
+                udp_ports: PortTable::new(),
                 unmatched_flows: 0,
                 unmatched_packets: 0,
                 cache: ViewCache::default(),
@@ -560,8 +552,10 @@ impl<'a> Analyzer<'a> {
     /// same window and database) into this one.
     ///
     /// Per-device state merges as columnar addition
-    /// ([`DeviceTable::merge_from`]) and per-service/port device sets as
-    /// word-wise ORs — no per-key rehashing of the device axis.
+    /// ([`DeviceTable::merge_from`]), per-service device sets as
+    /// word-wise ORs and the port table as a pair-set union
+    /// ([`PortTable::merge_from`]) — no per-key rehashing of the device
+    /// axis.
     ///
     /// # Panics
     ///
@@ -604,11 +598,7 @@ impl<'a> Analyzer<'a> {
                 self.result.top5_series[i][j] += v;
             }
         }
-        for (port, stat) in o.udp_ports {
-            let cur = self.result.udp_ports.entry(port).or_default();
-            cur.packets += stat.packets;
-            cur.devices.union_with(&stat.devices);
-        }
+        self.result.udp_ports.merge_from(o.udp_ports);
         self.result.unmatched_flows += o.unmatched_flows;
         self.result.unmatched_packets += o.unmatched_packets;
     }
@@ -703,9 +693,7 @@ impl HourIngest<'_, '_> {
                     scratch.udp_ips[r].insert(u32::from(flow.dst_ip));
                     scratch.udp_ports[r].insert(flow.dst_port);
                     scratch.udp_devs[r].insert(id);
-                    let port = result.udp_ports.entry(flow.dst_port).or_default();
-                    port.packets += pkts;
-                    port.devices.insert(id);
+                    result.udp_ports.insert(flow.dst_port, id, pkts);
                 }
                 TrafficClass::TcpScan => {
                     result.tcp_scan[r].packets[idx] += pkts;

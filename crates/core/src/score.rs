@@ -484,8 +484,21 @@ impl<'a> ScoreEngine<'a> {
     /// replaying the same snapshot is a no-op, and an hour that raises
     /// a device by several tiers emits exactly one escalation.
     pub fn fold(&mut self, analysis: &Analysis) -> Vec<Escalation> {
+        self.fold_rows(analysis, 0..analysis.devices.len())
+    }
+
+    /// [`fold`](Self::fold) restricted to the given `analysis.devices`
+    /// rows, in the order given — the streaming path, which passes only
+    /// the rows an hour created or changed. The result equals a full
+    /// `fold` whenever every row left out is unchanged since the
+    /// previous fold (its score and alert state would not move).
+    pub(crate) fn fold_rows(
+        &mut self,
+        analysis: &Analysis,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Vec<Escalation> {
         let mut escalations = Vec::new();
-        for obs in analysis.devices.rows() {
+        for obs in rows.into_iter().map(|r| analysis.devices.observation_at(r)) {
             let row = match self.table.row(obs.device) {
                 Some(row) => row,
                 None => {

@@ -22,9 +22,9 @@
 //! * a **shard owner** ([`ShardAccumulator`]) applies whole-hour
 //!   batches of routed flows for its dense-index range. Everything
 //!   keyed by source device — the device table, per-hour distinct
-//!   device counts, per-service/per-port device sets, backscatter
-//!   attribution — is shard-disjoint, so per-shard results sum or
-//!   concatenate exactly.
+//!   device counts, per-service device sets, the per-port
+//!   `(port, device)` pairs, backscatter attribution — is
+//!   shard-disjoint, so per-shard results sum or concatenate exactly.
 //!
 //! [`assemble`] folds router and shard partials into an [`Analysis`]
 //! bit-identical to the sequential pass: per-shard tables are
@@ -39,14 +39,14 @@ use crate::analysis::{
     class_idx, merge_top_victim, realm_idx, Analysis, BackscatterInterval, PortScratch,
     RealmSeries, ServiceKey, ServiceStat, TOP5_SERVICES,
 };
-use crate::analysis::{DeviceSet, DeviceTable, PortStat};
+use crate::analysis::{DeviceSet, DeviceTable, PortTable};
 use crate::classify::{classify, TrafficClass};
 use crate::view::ViewCache;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm, ShardMap};
 use iotscope_net::flowtuple::FlowTuple;
 use iotscope_net::ports::ScanService;
 use iotscope_net::protocol::TransportProtocol;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
 
 /// Realm lookup by [`realm_idx`] value.
@@ -300,7 +300,7 @@ pub struct ShardAccumulator {
     backscatter_intervals: Vec<BackscatterInterval>,
     scan_services: BTreeMap<ServiceKey, ServiceStat>,
     top5_series: Vec<[u64; 5]>,
-    udp_ports: HashMap<u16, PortStat>,
+    udp_ports: PortTable,
     /// Per-batch scratch: distinct devices this hour, per realm.
     udp_devs: [DeviceSet; 2],
     scan_devs: [DeviceSet; 2],
@@ -327,7 +327,7 @@ impl ShardAccumulator {
             backscatter_intervals: vec![BackscatterInterval::default(); h],
             scan_services: BTreeMap::new(),
             top5_series: vec![[0; 5]; h],
-            udp_ports: HashMap::new(),
+            udp_ports: PortTable::new(),
             udp_devs: [
                 DeviceSet::with_capacity(range.end as usize),
                 DeviceSet::with_capacity(range.end as usize),
@@ -382,9 +382,7 @@ impl ShardAccumulator {
                 CLASS_UDP => {
                     self.udp_packets[r][idx] += pkts;
                     self.udp_devs[r].insert(id);
-                    let port = self.udp_ports.entry(f.dst_port).or_default();
-                    port.packets += pkts;
-                    port.devices.insert(id);
+                    self.udp_ports.insert(f.dst_port, id, pkts);
                 }
                 CLASS_TCP_SCAN => {
                     self.scan_packets[r][idx] += pkts;
@@ -482,7 +480,7 @@ pub struct ShardPartial {
     /// Fig 10 series from this shard's devices.
     pub top5_series: Vec<[u64; 5]>,
     /// Table IV statistics restricted to this shard's devices.
-    pub udp_ports: HashMap<u16, PortStat>,
+    pub udp_ports: PortTable,
 }
 
 /// Fold router and shard partials into the final [`Analysis`].
@@ -501,7 +499,7 @@ pub fn assemble(hours: u32, routers: Vec<RouterPartial>, shards: Vec<ShardPartia
     let mut backscatter_intervals = vec![BackscatterInterval::default(); h];
     let mut scan_services: BTreeMap<ServiceKey, ServiceStat> = BTreeMap::new();
     let mut top5_series = vec![[0u64; 5]; h];
-    let mut udp_ports: HashMap<u16, PortStat> = HashMap::new();
+    let mut udp_ports = PortTable::new();
     let mut unmatched_flows = 0u64;
     let mut unmatched_packets = 0u64;
 
@@ -549,11 +547,9 @@ pub fn assemble(hours: u32, routers: Vec<RouterPartial>, shards: Vec<ShardPartia
                 top5_series[i][j] += v;
             }
         }
-        for (port, stat) in sp.udp_ports {
-            let cur = udp_ports.entry(port).or_default();
-            cur.packets += stat.packets;
-            cur.devices.union_with(&stat.devices);
-        }
+        // Shards split the device space, so their (port, device) pairs
+        // are disjoint and the per-port device counts simply add.
+        udp_ports.merge_from(sp.udp_ports);
     }
 
     // Ascending sorted shards concatenate already-sorted; this is a

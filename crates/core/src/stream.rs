@@ -270,7 +270,11 @@ pub struct StreamingAnalyzer<'a> {
     analyzer: Analyzer<'a>,
     db: &'a DeviceDb,
     config: StreamConfig,
-    seen_devices: crate::table::DeviceSet,
+    /// The device table's flow column as of the previous hour. Rows
+    /// only append until [`finish`](Self::finish), so its length is the
+    /// previous device count and a differing entry marks a row the
+    /// latest hour touched.
+    prev_flows: Vec<u64>,
     backscatter: Trailing,
     services: [Trailing; 5],
     ports: [Trailing; 2],
@@ -287,7 +291,7 @@ impl<'a> StreamingAnalyzer<'a> {
             analyzer: Analyzer::new(db, hours),
             db,
             config,
-            seen_devices: crate::table::DeviceSet::with_capacity(db.len()),
+            prev_flows: Vec::new(),
             backscatter: Trailing::new(config.window),
             services: std::array::from_fn(|_| Trailing::new(config.window)),
             ports: [Trailing::new(config.window), Trailing::new(config.window)],
@@ -341,12 +345,10 @@ impl<'a> StreamingAnalyzer<'a> {
         let mut new_alerts = Vec::new();
 
         // --- new-device discovery -----------------------------------------
-        let mut discovered = 0usize;
-        for obs in snapshot.devices.rows() {
-            if obs.first_interval == hour.interval && self.seen_devices.insert(obs.device) {
-                discovered += 1;
-            }
-        }
+        // Hours arrive in order, so every row this hour appended is a
+        // device first seen at this interval.
+        let flows = snapshot.devices.flows();
+        let discovered = flows.len() - self.prev_flows.len();
         if discovered > 0 {
             new_alerts.push(Alert::NewDevices {
                 interval: hour.interval,
@@ -415,7 +417,9 @@ impl<'a> StreamingAnalyzer<'a> {
 
         // --- intel scoring ----------------------------------------------------
         if let Some(engine) = &mut self.score {
-            for esc in engine.fold(snapshot) {
+            let prev = &self.prev_flows;
+            let touched = (0..flows.len()).filter(|&r| prev.get(r) != Some(&flows[r]));
+            for esc in engine.fold_rows(snapshot, touched) {
                 new_alerts.push(Alert::ScoreEscalation {
                     interval: hour.interval,
                     device: esc.device,
@@ -424,6 +428,9 @@ impl<'a> StreamingAnalyzer<'a> {
                 });
             }
         }
+
+        self.prev_flows.clear();
+        self.prev_flows.extend_from_slice(flows);
 
         if let Some(m) = &self.metrics {
             m.hours_pushed.inc();

@@ -10,12 +10,14 @@
 //! per-key hash-map rehashing, and [`DeviceSet`] packs "which devices"
 //! sets over the same index — a sorted vec of 4-byte indexes while
 //! small, one bit per device once large, instead of a ~48-byte hash-set
-//! entry either way.
+//! entry either way. [`PortTable`] holds Table IV's per-UDP-port
+//! aggregates in port-indexed columns plus one pair set, so tens of
+//! thousands of ports cost no per-port allocation.
 //!
 //! Row order is *first-seen* while ingesting and *sorted by id* after
 //! [`DeviceTable::normalize`] (which [`Analyzer::finish`] calls), so a
 //! finished [`Analysis`] is bit-identical between sequential and
-//! parallel runs. Equality on both types is order- and
+//! parallel runs. Equality on all three types is order- and
 //! capacity-insensitive, preserving the determinism contract even on
 //! un-normalized snapshots.
 //!
@@ -24,6 +26,8 @@
 
 use crate::classify::TrafficClass;
 use iotscope_devicedb::{DeviceId, Realm};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// Number of traffic classes (see [`crate::analysis::class_idx`]).
 pub(crate) const NUM_CLASSES: usize = 5;
@@ -37,7 +41,7 @@ const SPARSE_MAX: usize = 128;
 #[derive(Debug, Clone)]
 enum SetRepr {
     /// Sorted, deduplicated device indexes — the common case: most
-    /// per-port / per-service sets hold a handful of devices.
+    /// per-service sets hold a handful of devices.
     Sparse(Vec<u32>),
     /// Bitmap over the dense device index, for large cohorts.
     Dense(Vec<u64>),
@@ -46,8 +50,8 @@ enum SetRepr {
 /// A compact set of devices keyed by the dense device index.
 ///
 /// Adaptive representation: a sorted `Vec<u32>` while the set is small
-/// (≤ 128 members, the overwhelming majority of the
-/// per-port/per-service sets), promoted to a bitmap once it grows (a
+/// (≤ 128 members, the overwhelming majority of the per-service
+/// sets), promoted to a bitmap once it grows (a
 /// 331k-device inventory fits in ~41 KiB). This keeps the union used by
 /// [`Analyzer::merge`](crate::analysis::Analyzer::merge) proportional
 /// to the *members* of small sets rather than the inventory size, while
@@ -354,6 +358,13 @@ impl DeviceTable {
         &self.ids
     }
 
+    /// Flow count per row, in row order. While ingesting, rows only
+    /// append, so comparing this column with an earlier copy names the
+    /// rows an hour created or touched.
+    pub fn flows(&self) -> &[u64] {
+        &self.flows
+    }
+
     /// Get-or-create the row for `id`, recording `realm` and the
     /// candidate `first_interval` on creation.
     #[inline]
@@ -583,6 +594,216 @@ impl PartialEq for DeviceTable {
 
 impl Eq for DeviceTable {}
 
+/// Number of UDP destination ports: the table axis of [`PortTable`].
+const NUM_PORTS: usize = u16::MAX as usize + 1;
+
+/// Table IV's per-port UDP aggregates, flat over the 2^16 port space.
+///
+/// Three parts, none of them per-port heap objects: packets per port
+/// and distinct devices per port, both indexed directly by port, plus
+/// one set of `(port, device index)` pairs that deduplicates devices.
+/// Cloning or dropping the table is therefore three contiguous copies
+/// or frees however many ports were seen — which is what keeps an epoch
+/// publish of the resident daemon at memcpy cost. The port columns are
+/// allocated on the first insert, so an empty table (a quiet shard, the
+/// epoch-0 snapshot) owns no heap memory.
+#[derive(Debug, Clone, Default)]
+pub struct PortTable {
+    /// UDP packets per destination port (empty, or one entry per port).
+    packets: Vec<u64>,
+    /// Distinct devices per destination port (same shape as `packets`).
+    devices: Vec<u32>,
+    /// `port << 32 | device index` for every pair seen.
+    pairs: PairSet,
+}
+
+impl PortTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        PortTable::default()
+    }
+
+    #[inline]
+    fn key(port: u16, id: DeviceId) -> u64 {
+        (u64::from(port) << 32) | u64::from(id.0)
+    }
+
+    /// Record one flow of `packets` packets from `id` to `port`.
+    #[inline]
+    pub fn insert(&mut self, port: u16, id: DeviceId, packets: u64) {
+        if self.packets.is_empty() {
+            self.packets = vec![0; NUM_PORTS];
+            self.devices = vec![0; NUM_PORTS];
+        }
+        self.packets[usize::from(port)] += packets;
+        if self.pairs.insert(Self::key(port, id)) {
+            self.devices[usize::from(port)] += 1;
+        }
+    }
+
+    /// UDP packets sent to `port`.
+    pub fn packets(&self, port: u16) -> u64 {
+        self.packets.get(usize::from(port)).copied().unwrap_or(0)
+    }
+
+    /// Number of distinct devices that sent to `port`.
+    pub fn devices(&self, port: u16) -> usize {
+        self.devices
+            .get(usize::from(port))
+            .map_or(0, |&d| d as usize)
+    }
+
+    /// Whether `id` sent to `port`.
+    pub fn contains(&self, port: u16, id: DeviceId) -> bool {
+        self.pairs.contains(Self::key(port, id))
+    }
+
+    /// Number of distinct ports observed.
+    pub fn len(&self) -> usize {
+        self.devices.iter().filter(|&&d| d > 0).count()
+    }
+
+    /// Whether no port has been observed.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.len == 0
+    }
+
+    /// Number of distinct `(port, device)` pairs: the sum of
+    /// [`devices`](Self::devices) over all ports.
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len
+    }
+
+    /// `(port, packets, devices)` for every observed port, ascending by
+    /// port.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, u64, usize)> + '_ {
+        self.devices
+            .iter()
+            .zip(&self.packets)
+            .enumerate()
+            .filter(|(_, (&d, _))| d > 0)
+            .map(|(port, (&d, &p))| (port as u16, p, d as usize))
+    }
+
+    /// Merge a table built over disjoint observations of the same
+    /// inventory: packets add, and a device counts once per port however
+    /// many tables saw it — so hour-disjoint partials (whose device sets
+    /// overlap) and device-disjoint shard partials (whose counts simply
+    /// add) merge through the same code.
+    pub fn merge_from(&mut self, other: PortTable) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        if other.is_empty() {
+            return;
+        }
+        for (p, o) in self.packets.iter_mut().zip(&other.packets) {
+            *p += o;
+        }
+        for key in other.pairs.iter() {
+            if self.pairs.insert(key) {
+                self.devices[(key >> 32) as usize] += 1;
+            }
+        }
+    }
+}
+
+/// Same ports, packets and `(port, device)` pairs, whether or not the
+/// port columns have been allocated.
+impl PartialEq for PortTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.pairs.len == other.pairs.len
+            && self.pairs.iter().all(|key| other.pairs.contains(key))
+            && (0..=u16::MAX)
+                .all(|p| self.packets(p) == other.packets(p) && self.devices(p) == other.devices(p))
+    }
+}
+
+impl Eq for PortTable {}
+
+/// Marks a free slot of a [`PairSet`]; no pair key reaches it (keys
+/// use the low 48 bits).
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// A set of `u64` keys in one slot vector: open addressing with linear
+/// probing from a keyed hash.
+///
+/// The slot count is not a power of two (a multiply-shift maps hashes
+/// onto any length), so it can grow by a quarter when the load passes
+/// seven eighths and stays 70–88% full. A power-of-two table such as
+/// `std::collections::HashSet` doubles instead: at the paper workload's
+/// 116,975 pairs it holds 262,144 slots (2.4 MB), against 1.1 MB here,
+/// and every epoch snapshot copies it. The hash is the standard
+/// library's keyed SipHash, because the keys come from darknet traffic
+/// — outside input that must not be able to force collisions.
+#[derive(Debug, Clone, Default)]
+struct PairSet {
+    slots: Vec<u64>,
+    len: usize,
+    hasher: RandomState,
+}
+
+impl PairSet {
+    /// The slot a key's probe sequence starts at. `slots` is non-empty.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let hash = u128::from(self.hasher.hash_one(key));
+        ((hash * self.slots.len() as u128) >> 64) as usize
+    }
+
+    /// Insert `key`; `true` if it was not present.
+    #[inline]
+    fn insert(&mut self, key: u64) -> bool {
+        debug_assert_ne!(key, EMPTY_SLOT);
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                EMPTY_SLOT => {
+                    self.slots[i] = key;
+                    self.len += 1;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = if i + 1 == self.slots.len() { 0 } else { i + 1 },
+            }
+        }
+    }
+
+    /// Whether `key` is present.
+    fn contains(&self, key: u64) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                EMPTY_SLOT => return false,
+                k if k == key => return true,
+                _ => i = if i + 1 == self.slots.len() { 0 } else { i + 1 },
+            }
+        }
+    }
+
+    /// Re-insert every key into a table a quarter larger.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() + self.slots.len() / 4).max(1024);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
+        self.len = 0;
+        for key in old.into_iter().filter(|&k| k != EMPTY_SLOT) {
+            self.insert(key);
+        }
+    }
+
+    /// Every key, in slot order.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().copied().filter(|&k| k != EMPTY_SLOT)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,6 +966,80 @@ mod tests {
         rev.normalize();
         assert_eq!(rev.ids(), cat.ids());
         assert_eq!(rev, cat);
+    }
+
+    #[test]
+    fn port_table_counts_packets_and_distinct_devices() {
+        let mut t = PortTable::new();
+        assert!(t.is_empty());
+        assert_eq!(t.packets(53), 0);
+        assert_eq!(t.devices(53), 0);
+        t.insert(53, DeviceId(1), 4);
+        t.insert(53, DeviceId(1), 2);
+        t.insert(53, DeviceId(9), 1);
+        t.insert(u16::MAX, DeviceId(1), 7);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.pair_count(), 3);
+        assert_eq!((t.packets(53), t.devices(53)), (7, 2));
+        assert!(t.contains(53, DeviceId(9)));
+        assert!(!t.contains(54, DeviceId(9)));
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            vec![(53, 7, 2), (u16::MAX, 7, 1)]
+        );
+        // An empty table equals one that never allocated its columns.
+        assert_eq!(PortTable::new(), PortTable::default());
+        assert_ne!(t, PortTable::new());
+    }
+
+    #[test]
+    fn port_table_merge_unions_overlapping_and_disjoint_partials() {
+        // Hour-disjoint partials share device 1 on port 53.
+        let mut a = PortTable::new();
+        a.insert(53, DeviceId(1), 3);
+        a.insert(137, DeviceId(2), 1);
+        let mut b = PortTable::new();
+        b.insert(53, DeviceId(1), 5);
+        b.insert(53, DeviceId(4), 1);
+        let mut reference = PortTable::new();
+        for (port, id, pkts) in [(53, 1, 3), (137, 2, 1), (53, 1, 5), (53, 4, 1)] {
+            reference.insert(port, DeviceId(id), pkts);
+        }
+        let mut merged = a.clone();
+        merged.merge_from(b.clone());
+        assert_eq!(merged, reference);
+        assert_eq!((merged.packets(53), merged.devices(53)), (9, 2));
+        // Either side empty moves or keeps the other wholesale.
+        let mut empty = PortTable::new();
+        empty.merge_from(a.clone());
+        assert_eq!(empty, a);
+        a.merge_from(PortTable::new());
+        assert_eq!(empty, a);
+        // Merge order does not matter.
+        b.merge_from(a);
+        assert_eq!(b, reference);
+    }
+
+    #[test]
+    fn pair_set_grows_without_losing_or_inventing_keys() {
+        let mut set = PairSet::default();
+        let keys: Vec<u64> = (0..20_000u64)
+            .map(|i| (i % 700) << 32 | (i * 7919))
+            .collect();
+        for &k in &keys {
+            assert!(set.insert(k));
+            assert!(!set.insert(k));
+        }
+        assert_eq!(set.len, keys.len());
+        assert!(set.len * 8 <= set.slots.len() * 7, "load stays at most 7/8");
+        assert!(keys.iter().all(|&k| set.contains(k)));
+        assert!(!set.contains(1 << 47));
+        assert!(!PairSet::default().contains(0));
+        let mut seen: Vec<u64> = set.iter().collect();
+        seen.sort_unstable();
+        let mut want = keys.clone();
+        want.sort_unstable();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -31,8 +31,9 @@ use iotscope_core::{Analysis, Analyzer, ScoreConfig, ScoreRow, ScoreTable};
 use iotscope_devicedb::isp::IspRegistry;
 use iotscope_devicedb::{DeviceDb, DeviceId, Realm};
 use iotscope_intel::IntelContext;
-use iotscope_obs::{Counter, Histogram, Registry};
+use iotscope_obs::{Counter, Gauge, Histogram, Registry};
 use iotscope_telescope::HourTraffic;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -159,14 +160,18 @@ impl SnapshotCell {
 }
 
 /// Per-endpoint request counters and latency histograms
-/// (`serve.requests.*`, `serve.latency.*`; all
+/// (`serve.requests.*`, `serve.latency.*`) plus the publish side:
+/// `serve.publish_time` (ns to build and swap in one epoch's snapshot)
+/// and `serve.epoch` (the latest published epoch). All
 /// [variant](iotscope_obs::Stability::Variant) — request mixes and wall
-/// time are never reproducible).
+/// time are never reproducible.
 #[derive(Debug)]
 struct ServeMetrics {
     requests: [Counter; ENDPOINTS.len()],
     latency: [Histogram; ENDPOINTS.len()],
     not_found: Counter,
+    publish_time: Histogram,
+    epoch: Gauge,
 }
 
 impl ServeMetrics {
@@ -180,6 +185,8 @@ impl ServeMetrics {
                 registry.histogram_variant(&format!("serve.latency.{}", ENDPOINTS[i]), &bounds)
             }),
             not_found: registry.counter_variant("serve.requests.not_found"),
+            publish_time: registry.histogram_variant("serve.publish_time", &bounds),
+            epoch: registry.gauge("serve.epoch"),
         }
     }
 }
@@ -195,6 +202,8 @@ pub struct TelescopeService {
     hours: u32,
     intel: Option<IntelContext>,
     cell: SnapshotCell,
+    /// Set by the first [`ingest`](Self::ingest); a second call panics.
+    ingested: AtomicBool,
     registry: Registry,
     metrics: ServeMetrics,
 }
@@ -212,6 +221,7 @@ impl TelescopeService {
             hours,
             intel: None,
             cell,
+            ingested: AtomicBool::new(false),
             registry,
             metrics,
         }
@@ -260,21 +270,25 @@ impl TelescopeService {
     /// clone differs from a batch run only in device-row order, which
     /// [`Analysis`] equality ignores. Returns the final normalized
     /// analysis and the full alert log, after republishing them at the
-    /// final epoch.
+    /// final epoch. Each per-hour publish is timed into
+    /// `serve.publish_time` and sets `serve.epoch`.
     ///
     /// # Panics
     ///
     /// Panics if hours arrive out of order (same contract as
-    /// [`StreamingAnalyzer::push_hour`]).
+    /// [`StreamingAnalyzer::push_hour`]), and if called more than once
+    /// on the same service: a later call would start a fresh analyzer,
+    /// so its epochs could not be the analysis of the first `k` hours.
     pub fn ingest(
         &self,
         traffic: &[HourTraffic],
         config: StreamConfig,
         on_alert: &mut dyn FnMut(&Alert),
     ) -> (Analysis, Vec<Alert>) {
-        let base = self.cell.load();
-        let (base_epoch, base_hours) = (base.epoch, base.hours_ingested);
-        drop(base);
+        assert!(
+            !self.ingested.swap(true, Ordering::SeqCst),
+            "TelescopeService::ingest may run only once per service"
+        );
         let mut stream =
             StreamingAnalyzer::with_metrics(&self.db, self.hours, config, &self.registry);
         if let Some(intel) = &self.intel {
@@ -286,14 +300,18 @@ impl TelescopeService {
                 on_alert(&alert);
             }
             pushed += 1;
+            let start = Instant::now();
             self.cell.publish(Snapshot {
-                epoch: base_epoch + u64::from(pushed),
-                hours_ingested: base_hours + pushed,
+                epoch: u64::from(pushed),
+                hours_ingested: pushed,
                 last_interval: stream.last_interval(),
                 analysis: Arc::new(stream.snapshot()),
                 alerts: Arc::new(stream.alerts().to_vec()),
                 scores: stream.scores().map(|t| Arc::new(t.clone())),
             });
+            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.metrics.publish_time.observe(elapsed);
+            self.metrics.epoch.set(i64::from(pushed));
         }
         let last_interval = stream.last_interval();
         let (analysis, alerts, scores) = stream.finish_with_scores();
@@ -302,8 +320,8 @@ impl TelescopeService {
         // with device rows in id order, so readers keep their
         // epoch↔prefix mapping.
         self.cell.publish(Snapshot {
-            epoch: base_epoch + u64::from(pushed),
-            hours_ingested: base_hours + pushed,
+            epoch: u64::from(pushed),
+            hours_ingested: pushed,
             last_interval,
             analysis: Arc::new(analysis.clone()),
             alerts: Arc::new(alerts.clone()),
@@ -555,6 +573,28 @@ mod tests {
         assert_eq!(snap.last_interval, Some(48));
         assert_eq!(*snap.analysis, analysis);
         assert_eq!(*snap.alerts, alerts);
+        // One publish timed per epoch; the gauge names the last one.
+        let metrics = service.registry().snapshot();
+        assert_eq!(metrics.gauge("serve.epoch"), Some(48));
+        match &metrics.get("serve.publish_time").unwrap().value {
+            iotscope_obs::SnapshotValue::Histogram { count, sum, .. } => {
+                assert_eq!(*count, 48);
+                assert!(*sum > 0, "publishing takes measurable time");
+            }
+            other => panic!("publish_time must be a histogram, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only once")]
+    fn second_ingest_is_rejected() {
+        // A second call would restart the analyzer at hour 1 while
+        // continuing the epoch count, so epoch 12 + k would hold only
+        // k hours. The service refuses instead.
+        let (service, traffic) = service_with_traffic(77);
+        service.ingest(&traffic[..12], StreamConfig::default(), &mut |_| {});
+        assert_eq!(service.snapshot().epoch, 12);
+        service.ingest(&traffic[12..24], StreamConfig::default(), &mut |_| {});
     }
 
     #[test]
