@@ -1,16 +1,14 @@
-//! Aggregation-core benchmarks: hour ingest, N-way partial merge, and
-//! full report construction over a paper-scale synthetic window.
+//! Aggregation-core benchmarks: hour ingest and full report
+//! construction over a paper-scale synthetic window.
 //!
 //! These are the hot paths the columnar device table targets; the
 //! before/after numbers are recorded in EXPERIMENTS.md.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use iotscope_core::analysis::{Analysis, Analyzer};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use iotscope_core::analysis::Analyzer;
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
-
-const MERGE_WAYS: usize = 8;
 
 fn bench_analysis(c: &mut Criterion) {
     // Paper-sized inventory (331k devices) at a reduced packet scale: the
@@ -19,7 +17,6 @@ fn bench_analysis(c: &mut Criterion) {
     let built = PaperScenario::build(PaperScenarioConfig::paper(7, 0.01));
     let db = &built.inventory.db;
     let hours: Vec<HourTraffic> = (1..=143).map(|i| built.scenario.generate_hour(i)).collect();
-    let total_flows: u64 = hours.iter().map(|h| h.flows.len() as u64).sum();
     // A busy hour from the middle of the window (during the scanning ramp).
     let busy = hours
         .iter()
@@ -36,35 +33,6 @@ fn bench_analysis(c: &mut Criterion) {
             an.ingest_hour(busy);
             an.finish().device_count()
         })
-    });
-
-    // N-way merge of partial analyses over disjoint hour chunks — the
-    // reduction step of the parallel pipeline, isolated.
-    let chunk = hours.len().div_ceil(MERGE_WAYS);
-    let partials: Vec<Analysis> = hours
-        .chunks(chunk)
-        .map(|c| {
-            let mut an = Analyzer::new(db, 143);
-            for h in c {
-                an.ingest_hour(h);
-            }
-            an.finish()
-        })
-        .collect();
-    group.throughput(Throughput::Elements(total_flows));
-    group.bench_function("merge_8way", |b| {
-        b.iter_batched(
-            || partials.clone(),
-            |parts| {
-                let mut it = parts.into_iter();
-                let mut acc = Analyzer::resume(db, it.next().expect("at least one partial"));
-                for p in it {
-                    acc.merge(Analyzer::resume(db, p));
-                }
-                acc.finish().device_count()
-            },
-            BatchSize::LargeInput,
-        )
     });
 
     // Full report build over the whole window (every figure and table).

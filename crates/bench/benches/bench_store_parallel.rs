@@ -1,9 +1,8 @@
 //! Store-backed pipeline benchmark: read + decode + aggregate a full
-//! simulated window from disk, sequentially and with the parallel
-//! reader/decoder pool, reporting hours/s so the thread scaling is
-//! directly comparable. A second group compares the v2 and v3 codecs
-//! head to head (encode, decode, parallel block decode) and prints the
-//! bytes-per-record ablation for each format.
+//! simulated window from disk at several thread counts, reporting
+//! hours/s so the thread scaling is directly comparable. A second group
+//! compares the v2 and v3 codecs head to head (encode, decode) and
+//! prints the bytes-per-record ablation for each format.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
@@ -49,8 +48,8 @@ fn bench_store_parallel(c: &mut Criterion) {
 }
 
 /// v2 vs v3 codec comparison on one paper-shaped telescope hour:
-/// encode, decode, and v3 parallel block decode, plus a printed
-/// bytes-per-record ablation (the acceptance bar is v3 ≤ 0.8× v2).
+/// encode and decode, plus a printed bytes-per-record ablation (the
+/// acceptance bar is v3 ≤ 0.8× v2).
 fn bench_store_formats(c: &mut Criterion) {
     let built = PaperScenario::build(PaperScenarioConfig::tiny(1));
     let flows = built.scenario.generate_hour(20).flows;
@@ -84,29 +83,6 @@ fn bench_store_formats(c: &mut Criterion) {
         });
     }
 
-    let v3_bytes = encode_hour(hour, &flows, options(StoreFormat::V3));
-    for threads in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("decode_v3_parallel", threads),
-            &threads,
-            |b, &t| {
-                b.iter_batched(
-                    || v3_bytes.clone(),
-                    |buf| {
-                        decode_hour_with(
-                            &buf,
-                            DecodeOptions {
-                                threads: t,
-                                ..DecodeOptions::default()
-                            },
-                        )
-                        .unwrap()
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
     group.finish();
 }
 

@@ -10,19 +10,17 @@
 //! Usage:
 //!
 //! ```text
-//! perf [--quick] [--seed N] [--out PATH] [--mode sharded|pooled] [--serve] [--year] [--intel]
+//! perf [--quick] [--seed N] [--out PATH] [--serve] [--year] [--intel]
 //! ```
 //!
 //! `--quick` uses the small inventory and few iterations (CI smoke);
 //! the default is the `paper(seed, 0.01)` scenario used by
 //! `bench_analysis`. `--out` defaults to the PR-agnostic `BENCH.json`
 //! (CI and full runs pass an explicit `--out BENCH_PRn.json`).
-//! `--mode` picks the parallel strategy for the `pipeline/*` entries:
-//! the default `sharded` mode times thread counts 2/4/8 of the
-//! device-sharded path, `pooled` times the hour-pooled path at 4
-//! threads. `--serve` additionally boots the resident daemon on an
-//! ephemeral port and drives every endpoint with concurrent keep-alive
-//! clients while ingest runs at full rate. `--year` streams a synthetic
+//! The `pipeline/*` entries time store-backed analysis sequentially
+//! and at 2/4/8 threads. `--serve` additionally boots the resident
+//! daemon on an ephemeral port and drives every endpoint with
+//! concurrent keep-alive clients while ingest runs at full rate. `--year` streams a synthetic
 //! 8,760-hour segmented store end-to-end (always at tiny scale — the
 //! point is the hour count, not the per-hour size) and records
 //! `store.year.analyze143` / `store.year.analyze8760` rows whose
@@ -52,7 +50,7 @@
 
 use iotscope_core::analysis::Analyzer;
 use iotscope_core::malicious::select_candidates;
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, ParallelMode};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::score::{ScoreConfig, ScoreEngine};
 use iotscope_core::stream::StreamConfig;
@@ -78,14 +76,12 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: perf [--quick] [--seed N] [--out PATH] [--mode sharded|pooled] \
-     [--serve] [--year] [--intel]";
+const USAGE: &str = "usage: perf [--quick] [--seed N] [--out PATH] [--serve] [--year] [--intel]";
 
 struct Args {
     quick: bool,
     seed: u64,
     out: String,
-    mode: ParallelMode,
     serve: bool,
     year: bool,
     intel: bool,
@@ -106,7 +102,6 @@ fn parse_args() -> Args {
         quick: false,
         seed: 7,
         out: "BENCH.json".to_owned(),
-        mode: ParallelMode::Sharded,
         serve: false,
         year: false,
         intel: false,
@@ -132,16 +127,6 @@ fn parse_args() -> Args {
                 args.out = it
                     .next()
                     .unwrap_or_else(|| usage_error("--out requires a path"));
-            }
-            "--mode" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--mode requires 'sharded' or 'pooled'"));
-                args.mode = match v.as_str() {
-                    "sharded" => ParallelMode::Sharded,
-                    "pooled" => ParallelMode::Pooled,
-                    _ => usage_error(&format!("invalid --mode '{v}' (expected sharded|pooled)")),
-                };
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -709,18 +694,13 @@ fn main() {
                 .device_count()
         }),
     );
-    // Sharded mode scales over the device space, so sweep thread
-    // counts; the pooled mode keeps its single historical 4-thread
-    // entry for comparison against older BENCH_PRn.json files.
-    let parallel_entries: &[(usize, &'static str)] = match args.mode {
-        ParallelMode::Sharded => &[
-            (2, "pipeline/analyze_store_parallel2"),
-            (4, "pipeline/analyze_store_parallel4"),
-            (8, "pipeline/analyze_store_parallel8"),
-        ],
-        ParallelMode::Pooled => &[(4, "pipeline/analyze_store_parallel4")],
-    };
-    for &(threads, name) in parallel_entries {
+    // The sharded loop scales over the device space, so sweep thread
+    // counts.
+    for (threads, name) in [
+        (2, "pipeline/analyze_store_parallel2"),
+        (4, "pipeline/analyze_store_parallel4"),
+        (8, "pipeline/analyze_store_parallel8"),
+    ] {
         record(
             name,
             store_bytes,
@@ -728,10 +708,7 @@ fn main() {
                 pipeline
                     .run(
                         &store,
-                        &AnalyzeOptions::new()
-                            .window(window)
-                            .threads(threads)
-                            .mode(args.mode),
+                        &AnalyzeOptions::new().window(window).threads(threads),
                     )
                     .expect("perf store analysis")
                     .analysis

@@ -270,8 +270,8 @@ fn render_store_stats(stats: &StoreReadStats, dropped_days: &[u32]) -> String {
     );
     let _ = writeln!(
         out,
-        "stage times:     read {:.1?}, decode {:.1?}, ingest {:.1?}, merge {:.1?} (summed across workers)",
-        stats.read_time, stats.decode_time, stats.ingest_time, stats.merge_time
+        "stage times:     read {:.1?}, ingest {:.1?}, merge {:.1?} (summed across workers)",
+        stats.read_time, stats.ingest_time, stats.merge_time
     );
     let _ = writeln!(out, "wall time:       {:.1?}", stats.wall_time);
     out
@@ -856,7 +856,7 @@ mod tests {
             "metrics must append, not alter, the report"
         );
         assert!(with_metrics.contains("\"store.bytes_read\""));
-        assert!(with_metrics.contains("\"pipeline.decode_time\""));
+        assert!(with_metrics.contains("\"pipeline.ingest_time\""));
         assert!(with_metrics.contains("\"pipeline.wall_time\""));
         assert!(with_metrics.contains("\"analysis.packets.consumer.tcp_scan\""));
 

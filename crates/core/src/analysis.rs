@@ -3,16 +3,15 @@
 //! [`Analyzer`] makes a single pass over hourly flowtuples, joining source
 //! addresses against the IoT inventory (§III-B's correlation algorithm)
 //! and accumulating every aggregate the paper's figures and tables need.
-//! Hours may be ingested in any order, and two analyzers over disjoint
-//! hour sets [`merge`](Analyzer::merge) into the same result — which is
-//! what makes parallel analysis exact rather than approximate.
+//! Hours may be ingested in any order. It is the sequential kernel the
+//! streaming analyzer runs and the reference the device-sharded
+//! pipeline ([`crate::shard`]) is tested bit-identical against.
 //!
 //! Per-device state lives in a columnar [`DeviceTable`] (one row per
 //! correlated device), per-service device sets are [`DeviceSet`]
-//! bitmaps and Table IV's per-port stats are a flat [`PortTable`], so
-//! `merge` is columnar addition plus word-wise ORs. Derived queries
-//! (sorted device lists, cohorts, totals) are served memoized through
-//! [`Analysis::view`].
+//! bitmaps and Table IV's per-port stats are a flat [`PortTable`].
+//! Derived queries (sorted device lists, cohorts, totals) are served
+//! memoized through [`Analysis::view`].
 
 use crate::classify::{classify, TrafficClass};
 pub use crate::table::{DeviceObservation, DeviceSet, DeviceTable, PortTable};
@@ -298,7 +297,7 @@ impl Analysis {
     /// device table columns, which accumulate exactly what the per-hour
     /// metric flush of [`HourIngest::finish`] adds up — so the sharded
     /// pipeline, which has no per-worker `Analyzer`, publishes values
-    /// bit-identical to the sequential and pooled paths.
+    /// bit-identical to an [`Analyzer::with_metrics`] pass.
     pub(crate) fn publish_packet_counters(&self, registry: &Registry) {
         let m = AnalyzerMetrics::register(registry);
         let mut totals = [[0u64; 5]; 2];
@@ -487,19 +486,6 @@ impl<'a> Analyzer<'a> {
         a
     }
 
-    /// Rehydrate an analyzer from a previously finished [`Analysis`] so
-    /// more hours can be ingested or merged into it (incremental
-    /// re-aggregation, checkpoint/resume).
-    pub fn resume(db: &'a DeviceDb, analysis: Analysis) -> Self {
-        Analyzer {
-            db,
-            hours: analysis.hours,
-            metrics: None,
-            scratch: HourScratch::new(db.len()),
-            result: analysis,
-        }
-    }
-
     /// Ingest one hour of traffic.
     ///
     /// Thin wrapper over the block-streaming path: one
@@ -548,61 +534,6 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Merge another analyzer's state (built over *disjoint hours* of the
-    /// same window and database) into this one.
-    ///
-    /// Per-device state merges as columnar addition
-    /// ([`DeviceTable::merge_from`]), per-service device sets as
-    /// word-wise ORs and the port table as a pair-set union
-    /// ([`PortTable::merge_from`]) — no per-key rehashing of the device
-    /// axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window lengths differ.
-    pub fn merge(&mut self, other: Analyzer<'_>) {
-        assert_eq!(self.hours, other.hours, "mismatched windows");
-        self.result.cache.reset();
-        let o = other.result;
-        self.result.devices.merge_from(o.devices);
-        for r in 0..2 {
-            for p in 0..3 {
-                self.result.protocol_packets[r][p] += o.protocol_packets[r][p];
-            }
-            for i in 0..self.hours as usize {
-                self.result.udp[r].packets[i] += o.udp[r].packets[i];
-                self.result.udp[r].dst_ips[i] += o.udp[r].dst_ips[i];
-                self.result.udp[r].dst_ports[i] += o.udp[r].dst_ports[i];
-                self.result.udp[r].devices[i] += o.udp[r].devices[i];
-                self.result.tcp_scan[r].packets[i] += o.tcp_scan[r].packets[i];
-                self.result.tcp_scan[r].dst_ips[i] += o.tcp_scan[r].dst_ips[i];
-                self.result.tcp_scan[r].dst_ports[i] += o.tcp_scan[r].dst_ports[i];
-                self.result.tcp_scan[r].devices[i] += o.tcp_scan[r].devices[i];
-                self.result.backscatter_hourly[r][i] += o.backscatter_hourly[r][i];
-            }
-        }
-        for (i, slot) in o.backscatter_intervals.into_iter().enumerate() {
-            let cur = &mut self.result.backscatter_intervals[i];
-            cur.total += slot.total;
-            merge_top_victim(&mut cur.top_victim, slot.top_victim);
-        }
-        for (key, stat) in o.scan_services {
-            let cur = self.result.scan_services.entry(key).or_default();
-            for r in 0..2 {
-                cur.packets[r] += stat.packets[r];
-                cur.devices[r].union_with(&stat.devices[r]);
-            }
-        }
-        for (i, row) in o.top5_series.into_iter().enumerate() {
-            for (j, v) in row.into_iter().enumerate() {
-                self.result.top5_series[i][j] += v;
-            }
-        }
-        self.result.udp_ports.merge_from(o.udp_ports);
-        self.result.unmatched_flows += o.unmatched_flows;
-        self.result.unmatched_packets += o.unmatched_packets;
-    }
-
     /// Inspect the aggregation state accumulated so far (used by the
     /// streaming analyzer to evaluate alerts after each hour). Device
     /// rows are in first-seen order until [`finish`](Self::finish)
@@ -613,7 +544,7 @@ impl<'a> Analyzer<'a> {
 
     /// Finish and return the aggregation result, with device rows
     /// normalized to id order — so finished results are reproducible
-    /// regardless of ingest/merge order.
+    /// regardless of ingest order.
     pub fn finish(mut self) -> Analysis {
         self.result.devices.normalize();
         self.result.cache.reset();
@@ -1062,66 +993,6 @@ mod tests {
         let (avg_all, avg_consumer) = a.daily_active_devices();
         assert!((avg_all - 1.0).abs() < 1e-9);
         assert!((avg_consumer - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let db = db();
-        let h1 = hour(1, vec![syn([1, 0, 0, 1], 23), syn([2, 0, 0, 1], 22)]);
-        let h2 = hour(
-            2,
-            vec![
-                syn([1, 0, 0, 1], 80),
-                FlowTuple::udp(
-                    Ipv4Addr::new(2, 0, 0, 1),
-                    Ipv4Addr::new(44, 0, 0, 9),
-                    1,
-                    137,
-                )
-                .with_packets(7),
-            ],
-        );
-        let mut seq = Analyzer::new(&db, 4);
-        seq.ingest_hour(&h1);
-        seq.ingest_hour(&h2);
-        let seq = seq.finish();
-
-        let mut a = Analyzer::new(&db, 4);
-        a.ingest_hour(&h1);
-        let mut b = Analyzer::new(&db, 4);
-        b.ingest_hour(&h2);
-        a.merge(b);
-        let par = a.finish();
-
-        assert_eq!(par.devices, seq.devices);
-        // Normalized tables agree row-for-row, not just as sets.
-        assert_eq!(par.devices.ids(), seq.devices.ids());
-        assert_eq!(par.protocol_packets, seq.protocol_packets);
-        assert_eq!(par.udp[0].packets, seq.udp[0].packets);
-        assert_eq!(par.udp[1].packets, seq.udp[1].packets);
-        assert_eq!(par.scan_services, seq.scan_services);
-        assert_eq!(par.udp_ports, seq.udp_ports);
-        assert_eq!(par.backscatter_intervals, seq.backscatter_intervals);
-        assert_eq!(par.unmatched_flows, seq.unmatched_flows);
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn resume_continues_aggregation() {
-        let db = db();
-        let h1 = hour(1, vec![syn([1, 0, 0, 1], 23)]);
-        let h2 = hour(2, vec![syn([1, 0, 0, 1], 80), syn([2, 0, 0, 1], 22)]);
-        let mut an = Analyzer::new(&db, 4);
-        an.ingest_hour(&h1);
-        let checkpoint = an.finish();
-        let mut resumed = Analyzer::resume(&db, checkpoint);
-        resumed.ingest_hour(&h2);
-        let a = resumed.finish();
-
-        let mut seq = Analyzer::new(&db, 4);
-        seq.ingest_hour(&h1);
-        seq.ingest_hour(&h2);
-        assert_eq!(a, seq.finish());
     }
 
     #[test]

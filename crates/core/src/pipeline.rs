@@ -1,13 +1,17 @@
 //! End-to-end analysis orchestration: one [`run`](AnalysisPipeline::run)
 //! entry point over in-memory or store-backed sources, with optional
 //! per-run accounting and a metrics registry threaded through every
-//! layer (store reads, decode, per-stage timings, per-class packet
-//! counters).
+//! layer (store reads, per-stage timings, per-class packet counters).
+//!
+//! Every run, whatever its source and thread count, goes through one
+//! worker loop: the device-sharded loop of [`crate::shard`]. A
+//! single-threaded run is one worker routing every hour into the one
+//! shard it owns.
 
-use crate::analysis::{Analysis, Analyzer};
+use crate::analysis::Analysis;
 use crate::shard::{self, RoutedFlow, RouterPartial, ShardAccumulator, ShardPartial, ShardRouter};
 use iotscope_devicedb::{DeviceDb, ShardMap};
-use iotscope_net::store::{DecodeOptions, FlowStore};
+use iotscope_net::store::{DecodeOptions, FlowSink, FlowStore};
 use iotscope_net::time::{AnalysisWindow, UnixHour};
 use iotscope_net::NetError;
 use iotscope_obs::{Counter, Gauge, Registry, Snapshot, Timer};
@@ -27,10 +31,11 @@ use std::time::{Duration, Instant};
 ///
 /// Stage times are summed across workers, so with N threads they can
 /// add up to roughly N× the wall time — compare them to each other (is
-/// this run I/O-bound or decode-bound?) rather than to `wall_time`.
+/// this run I/O-bound or ingest-bound?) rather than to `wall_time`.
 #[derive(Debug, Clone, Default)]
 pub struct StoreReadStats {
-    /// Worker threads actually used (after clamping to the work list).
+    /// Worker threads used: the whole clamped budget, or 1 for a run
+    /// with no hours to read.
     pub threads: usize,
     /// Hour files read, decoded, and ingested.
     pub hours_ingested: u64,
@@ -46,18 +51,13 @@ pub struct StoreReadStats {
     pub blocks_read: u64,
     /// Time spent reading files (summed across workers).
     pub read_time: Duration,
-    /// Time spent decoding payloads (summed across workers). Store
-    /// workers run the *fused* decode→ingest path (blocks stream
-    /// straight into the analyzer), so their decode time is part of
-    /// [`ingest_time`](Self::ingest_time) and this stays ~0 for them.
-    pub decode_time: Duration,
-    /// Time spent aggregating hours (summed across workers). For store
-    /// workers this is the fused decode+ingest stage.
+    /// Time spent in the fused decode → route → accumulate stage
+    /// (summed across workers): blocks stream straight from the decoder
+    /// into each worker's router, and routed batches into the shards.
     pub ingest_time: Duration,
-    /// Time spent merging worker partials (single-threaded). In the
-    /// default [sharded](ParallelMode::Sharded) mode the merge is a
-    /// concatenation of disjoint device ranges, so this stays ~0; the
-    /// hour-pooled mode merges full-width partials here.
+    /// Time spent assembling the shard partials (single-threaded). The
+    /// shards own disjoint device ranges, so this is a concatenation
+    /// and stays ~0.
     pub merge_time: Duration,
     /// End-to-end elapsed time for the whole run.
     pub wall_time: Duration,
@@ -78,7 +78,6 @@ impl StoreReadStats {
             records_decoded: after.counter_since(before, "store.records_decoded"),
             blocks_read: after.counter_since(before, "store.blocks_read"),
             read_time: after.duration_since(before, "pipeline.read_time"),
-            decode_time: after.duration_since(before, "pipeline.decode_time"),
             ingest_time: after.duration_since(before, "pipeline.ingest_time"),
             merge_time: after.duration_since(before, "pipeline.merge_time"),
             wall_time: after.duration_since(before, "pipeline.wall_time"),
@@ -117,32 +116,10 @@ impl<'s> From<&'s FlowStore> for AnalysisSource<'s> {
     }
 }
 
-/// How a multi-threaded run splits the work (single-threaded runs
-/// ignore the mode).
-///
-/// Both modes produce bit-identical analyses; they differ in what each
-/// worker holds and what the final merge costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ParallelMode {
-    /// Partition the *device space*: every worker routes hours and owns
-    /// one contiguous dense-index shard of per-device state, so the
-    /// final merge is a concatenation of disjoint ranges plus a scalar
-    /// reduction (see [`crate::shard`]). The default: at paper scale
-    /// the hour-pooled merge of N full-width partials dominates and
-    /// loses to sequential, while sharding keeps the merge ~free.
-    #[default]
-    Sharded,
-    /// Partition the *hours*: every worker runs a full-width
-    /// [`Analyzer`] over its share of hours; partials merge
-    /// single-threaded at the end. Cheapest when the device population
-    /// is small relative to the hour count.
-    Pooled,
-}
-
 /// Options for one [`AnalysisPipeline::run`] call.
 ///
-/// A consuming builder with defaults of one thread, sharded parallel
-/// mode, no stats, no metrics, no window:
+/// A consuming builder with defaults of one thread, no stats, no
+/// metrics, no window:
 ///
 /// ```
 /// use iotscope_core::pipeline::AnalyzeOptions;
@@ -152,7 +129,6 @@ pub enum ParallelMode {
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
     threads: usize,
-    mode: ParallelMode,
     stats: bool,
     metrics: Option<Registry>,
     window: Option<AnalysisWindow>,
@@ -164,20 +140,14 @@ impl AnalyzeOptions {
         AnalyzeOptions::default()
     }
 
-    /// Worker threads (clamped to `1..=64` and to the amount of work;
-    /// `0` means 1). The analysis result and every
-    /// [stable](iotscope_obs::Stability::Stable) metric are identical
-    /// whatever the thread count.
+    /// Worker threads, clamped to `1..=64` (`0` means 1). A run uses
+    /// the whole budget — every worker owns one device shard and routes
+    /// hours — even when there are fewer hours than threads; only a run
+    /// with no hours at all uses a single worker. The analysis result
+    /// and every [stable](iotscope_obs::Stability::Stable) metric are
+    /// identical whatever the thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// How multi-threaded runs split the work; defaults to
-    /// [`ParallelMode::Sharded`]. Has no effect when the run ends up
-    /// single-threaded.
-    pub fn mode(mut self, mode: ParallelMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -237,12 +207,6 @@ struct PipelineMetrics {
 
 impl PipelineMetrics {
     fn register(registry: &Registry) -> Self {
-        // The fused store path folds decoding into the ingest stage, so
-        // nothing records `pipeline.decode_time` any more. Register it
-        // anyway: the name stays visible in snapshots (at ~0) and
-        // `StoreReadStats::decode_time` keeps its meaning for readers
-        // of older runs.
-        registry.timer("pipeline.decode_time");
         PipelineMetrics {
             hours_ingested: registry.counter("pipeline.hours_ingested"),
             hours_missing: registry.counter("pipeline.hours_missing"),
@@ -261,15 +225,15 @@ impl PipelineMetrics {
         registry.counter_variant(&format!("pipeline.worker.{worker}.hours"))
     }
 
-    /// The per-shard device-count gauge for sharded runs (variant: the
-    /// shard layout depends on the thread count).
+    /// The per-shard device-count gauge (variant: the shard layout
+    /// depends on the thread count).
     fn shard_devices(registry: &Registry, shard: usize) -> Gauge {
         registry.gauge(&format!("pipeline.shard.{shard}.devices"))
     }
 }
 
-/// Inter-worker message of the sharded drivers: one whole hour's routed
-/// flows for one shard, or a router's end-of-work marker.
+/// Inter-worker message: one whole hour's routed flows for one shard,
+/// or a router's end-of-work marker.
 enum ShardMsg {
     Batch {
         interval: u32,
@@ -285,6 +249,64 @@ struct Coverage {
     work: Vec<(u32, UnixHour)>,
     hours_missing: u64,
     hours_skipped: u64,
+}
+
+/// The hours one run routes, indexed `0..len()` for the workers'
+/// shared cursor.
+#[derive(Clone, Copy)]
+enum Hours<'s> {
+    /// Decoded hours; each enters its router as one flow slice.
+    Memory(&'s [HourTraffic]),
+    /// A store's work list; each hour is fetched and fused-decoded
+    /// straight into its router.
+    Store {
+        store: &'s FlowStore,
+        work: &'s [(u32, UnixHour)],
+    },
+}
+
+impl Hours<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Hours::Memory(traffic) => traffic.len(),
+            Hours::Store { work, .. } => work.len(),
+        }
+    }
+
+    /// Open hour `k` on `router` and feed it all of the hour's flows;
+    /// the caller commits it with [`ShardRouter::finish_hour`]. Returns
+    /// the hour's interval and, for store hours, the time spent
+    /// fetching its bytes. On error the hour is left unfinished —
+    /// nothing was committed or sent, and the next `begin_hour` clears
+    /// the buffers — and the failing interval comes back with the
+    /// error.
+    fn route(
+        &self,
+        k: usize,
+        router: &mut ShardRouter<'_>,
+    ) -> Result<(u32, Option<Duration>), (u32, NetError)> {
+        match *self {
+            Hours::Memory(traffic) => {
+                let hour = &traffic[k];
+                router.begin_hour(hour.interval);
+                router.on_flows(&hour.flows);
+                Ok((hour.interval, None))
+            }
+            Hours::Store { store, work } => {
+                let (interval, hour) = work[k];
+                let t = Instant::now();
+                // `fetch` rather than `read`: segment-resident hours
+                // arrive as zero-copy borrows of the mapped segment.
+                let bytes = store.fetch_hour_bytes(hour).map_err(|e| (interval, e))?;
+                let read = t.elapsed();
+                router.begin_hour(interval);
+                store
+                    .visit_hour_for(hour, &bytes, DecodeOptions::default(), router)
+                    .map_err(|e| (interval, e))?;
+                Ok((interval, Some(read)))
+            }
+        }
+    }
 }
 
 /// Analysis entry points bound to a device inventory and window length.
@@ -313,9 +335,9 @@ impl<'a> AnalysisPipeline<'a> {
         AnalysisPipeline { db, hours }
     }
 
-    /// Analyze `source` under `options` — the single entry point behind
-    /// every analysis mode (sequential/parallel × memory/store, with or
-    /// without stats and metrics).
+    /// Analyze `source` under `options` — the single entry point for
+    /// every source and thread count, with or without stats and
+    /// metrics.
     ///
     /// The aggregation result and every
     /// [stable](iotscope_obs::Stability::Stable) metric are identical
@@ -335,7 +357,6 @@ impl<'a> AnalysisPipeline<'a> {
         source: impl Into<AnalysisSource<'s>>,
         options: &AnalyzeOptions,
     ) -> Result<AnalysisOutcome, NetError> {
-        let source = source.into();
         // Every run instruments through its own private registry, then
         // absorbs the totals into the caller's registry (if any) at the
         // end. Stats are a snapshot diff of the private registry, so
@@ -345,69 +366,39 @@ impl<'a> AnalysisPipeline<'a> {
         let pm = PipelineMetrics::register(&registry);
         let before = registry.snapshot();
 
-        // Worker-thread budget: pool workers take hours; whatever the
-        // work list cannot use is spent inside each worker on parallel
-        // v3 block decode, so a window of one huge hour still uses the
-        // full budget instead of serializing one worker.
-        let budget = options.threads.clamp(1, 64);
-
         let wall = pm.wall_time.span();
-        let result: Result<(Analysis, Vec<u32>, usize), NetError> = (|| match source {
-            AnalysisSource::Memory(traffic) => {
-                // Sharded parallelism is over the device space, so it
-                // is worth its fan-out even for a single huge hour; the
-                // hour-pooled mode degenerates to the inline path when
-                // every worker would get at most one hour (the partial
-                // merges would do all the work the pool saved).
-                let threads = match options.mode {
-                    ParallelMode::Sharded if !traffic.is_empty() => budget,
-                    _ if budget < traffic.len() => budget,
-                    _ => 1,
-                };
-                pm.threads.set(threads as i64);
-                let analysis = if threads <= 1 {
-                    self.run_memory_inline(traffic, &registry, &pm)
-                } else if options.mode == ParallelMode::Sharded {
-                    self.run_memory_sharded(traffic, threads, &registry, &pm)
-                } else {
-                    self.run_memory_pooled(traffic, threads, &registry, &pm)
-                };
-                Ok((analysis, Vec::new(), threads))
-            }
-            AnalysisSource::Store(store) => {
-                let window = options.window.ok_or_else(|| {
-                    NetError::InvalidInterval(
-                        "store-backed analysis requires AnalyzeOptions::window".into(),
-                    )
-                })?;
-                // Rebind the store's counters to this run's registry so
-                // its reads are accounted here (and only here).
-                let store = store.clone().instrumented(&registry);
-                let cov = coverage(&store, &window)?;
-                let threads = match options.mode {
-                    ParallelMode::Sharded if !cov.work.is_empty() => budget,
-                    _ if budget < cov.work.len() => budget,
-                    _ => 1, // degenerate pool: fewer hours than workers
-                };
-                // Hour-level workers leave the rest of the budget to
-                // per-worker parallel v3 block decode; the inline path
-                // gets the whole budget for it.
-                let decode = DecodeOptions {
-                    threads: (budget / threads.max(1)).max(1),
-                    quarantine: false,
-                };
-                pm.threads.set(threads as i64);
-                pm.hours_missing.add(cov.hours_missing);
-                pm.hours_skipped.add(cov.hours_skipped);
-                let analysis = if threads <= 1 {
-                    self.run_store_inline(&store, &cov.work, decode, &registry, &pm)?
-                } else if options.mode == ParallelMode::Sharded {
-                    self.run_store_sharded(&store, &cov.work, threads, decode, &registry, &pm)?
-                } else {
-                    self.run_store_pooled(&store, &cov.work, threads, decode, &registry, &pm)?
-                };
-                Ok((analysis, cov.dropped_days, threads))
-            }
+        let result: Result<(Analysis, Vec<u32>, usize), NetError> = (|| {
+            let (store, work);
+            let (hours, dropped_days) = match source.into() {
+                AnalysisSource::Memory(traffic) => (Hours::Memory(traffic), Vec::new()),
+                AnalysisSource::Store(s) => {
+                    let window = options.window.ok_or_else(|| {
+                        NetError::InvalidInterval(
+                            "store-backed analysis requires AnalyzeOptions::window".into(),
+                        )
+                    })?;
+                    // Rebind the store's counters to this run's registry
+                    // so its reads are accounted here (and only here).
+                    store = s.clone().instrumented(&registry);
+                    let cov = coverage(&store, &window)?;
+                    pm.hours_missing.add(cov.hours_missing);
+                    pm.hours_skipped.add(cov.hours_skipped);
+                    work = cov.work;
+                    let hours = Hours::Store {
+                        store: &store,
+                        work: &work,
+                    };
+                    (hours, cov.dropped_days)
+                }
+            };
+            let threads = if hours.len() == 0 {
+                1
+            } else {
+                options.threads.clamp(1, 64)
+            };
+            pm.threads.set(threads as i64);
+            let analysis = self.run_sharded(hours, threads, &registry, &pm)?;
+            Ok((analysis, dropped_days, threads))
         })();
         drop(wall);
 
@@ -430,86 +421,42 @@ impl<'a> AnalysisPipeline<'a> {
         })
     }
 
-    /// In-memory path, sequential: one analyzer over every hour on the
-    /// caller's thread; no partials, no merge.
-    fn run_memory_inline(
+    /// The one worker loop (DESIGN.md §3e). Every worker routes hours
+    /// off a shared work-stealing cursor *and* owns one dense-index
+    /// shard of per-device state, fed through per-worker inboxes (see
+    /// [`crate::shard`]); the end-of-run merge is a concatenation of
+    /// disjoint ranges. On the first error a stop flag halts further
+    /// routing; the in-flight hour protocol still runs to completion
+    /// (stopped workers keep draining their inboxes without applying),
+    /// and the error with the smallest interval wins, so the reported
+    /// failure is deterministic.
+    fn run_sharded(
         &self,
-        traffic: &[HourTraffic],
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
-        let worker = PipelineMetrics::worker_hours(registry, 0);
-        let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        let span = pm.ingest_time.span();
-        for hour in traffic {
-            an.ingest_hour(hour);
-            worker.inc();
-        }
-        pm.hours_ingested.add(traffic.len() as u64);
-        drop(span);
-        an.finish()
-    }
-
-    /// In-memory path, hour-pooled: hours are partitioned across
-    /// workers, partial aggregations merged. Identical result for every
-    /// thread count (see `Analyzer::merge`).
-    fn run_memory_pooled(
-        &self,
-        traffic: &[HourTraffic],
+        hours: Hours<'_>,
         threads: usize,
         registry: &Registry,
         pm: &PipelineMetrics,
-    ) -> Analysis {
-        let chunk = traffic.len().div_ceil(threads);
-        let partials: Vec<Analyzer<'_>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = traffic
-                .chunks(chunk)
-                .enumerate()
-                .map(|(i, hours)| {
-                    let registry = registry.clone();
-                    let ingest_time = pm.ingest_time.clone();
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut an = Analyzer::with_metrics(self.db, self.hours, &registry);
-                        let span = ingest_time.span();
-                        for h in hours {
-                            an.ingest_hour(h);
-                            worker.inc();
-                        }
-                        drop(span);
-                        an
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("analysis worker does not panic"))
-                .collect()
-        })
-        .expect("analysis scope does not panic");
-        pm.hours_ingested.add(traffic.len() as u64);
-        let merge_span = pm.merge_time.span();
-        let mut iter = partials.into_iter();
-        let mut first = iter.next().expect("at least one partial");
-        for p in iter {
-            first.merge(p);
-        }
-        drop(merge_span);
-        first.finish()
-    }
+    ) -> Result<Analysis, NetError> {
+        let stop = AtomicBool::new(false);
+        let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
+        let fail = |interval: u32, err: NetError| {
+            let mut slot = first_err.lock().expect("error slot not poisoned");
+            match &*slot {
+                Some((seen, _)) if *seen <= interval => {}
+                _ => *slot = Some((interval, err)),
+            }
+            stop.store(true, Ordering::Relaxed);
+        };
+        // A batch from the inbox: applied and timed, unless the run has
+        // already failed.
+        let apply = |acc: &mut ShardAccumulator, interval: u32, flows: &[RoutedFlow]| {
+            if !stop.load(Ordering::Relaxed) {
+                let t = Instant::now();
+                acc.apply_hour(interval, flows);
+                pm.ingest_time.record(t.elapsed());
+            }
+        };
 
-    /// In-memory path, device-sharded: every worker routes hours off a
-    /// shared work-stealing cursor *and* owns one dense-index shard of
-    /// per-device state, fed through per-worker inboxes (see
-    /// [`crate::shard`]). The end-of-run merge is a concatenation of
-    /// disjoint ranges, so `pipeline.merge_time` stays ~0 at any scale.
-    fn run_memory_sharded(
-        &self,
-        traffic: &[HourTraffic],
-        threads: usize,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
         let map = ShardMap::new(self.db.len(), threads);
         let next = AtomicUsize::new(0);
         let partials: Vec<(RouterPartial, ShardPartial)> = crossbeam::scope(|scope| {
@@ -521,55 +468,57 @@ impl<'a> AnalysisPipeline<'a> {
                 .map(|i| {
                     let rx = channels[i].1.clone();
                     let senders = senders.clone();
-                    let next = &next;
-                    let registry = registry.clone();
-                    let ingest_time = pm.ingest_time.clone();
-                    let hours_ingested = pm.hours_ingested.clone();
+                    let (next, stop, fail, apply) = (&next, &stop, &fail, &apply);
+                    let worker = PipelineMetrics::worker_hours(registry, i);
                     scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
                         let mut router = ShardRouter::new(self.db, self.hours, map);
                         let mut acc = ShardAccumulator::new(self.hours, map.range(i));
-                        let mut busy = Duration::ZERO;
                         let mut dones = 0usize;
                         loop {
                             // Apply whatever other routers have sent so
                             // far, so inboxes stay short.
                             while let Ok(msg) = rx.try_recv() {
-                                let t = Instant::now();
                                 match msg {
                                     ShardMsg::Batch { interval, flows } => {
-                                        acc.apply_hour(interval, &flows);
+                                        apply(&mut acc, interval, &flows);
                                     }
                                     ShardMsg::Done => dones += 1,
                                 }
-                                busy += t.elapsed();
                             }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= traffic.len() {
+                            if stop.load(Ordering::Relaxed) {
                                 break;
                             }
-                            let hour = &traffic[k];
+                            let k = next.fetch_add(1, Ordering::Relaxed);
+                            if k >= hours.len() {
+                                break;
+                            }
                             let t = Instant::now();
-                            router.begin_hour(hour.interval);
-                            router.route(&hour.flows);
+                            let (interval, read) = match hours.route(k, &mut router) {
+                                Ok(routed) => routed,
+                                Err((interval, e)) => {
+                                    fail(interval, e);
+                                    continue;
+                                }
+                            };
                             for (s, flows) in router.finish_hour().into_iter().enumerate() {
                                 if flows.is_empty() {
                                     continue;
                                 }
                                 if s == i {
-                                    acc.apply_hour(hour.interval, &flows);
+                                    acc.apply_hour(interval, &flows);
                                 } else {
-                                    let batch = ShardMsg::Batch {
-                                        interval: hour.interval,
-                                        flows,
-                                    };
+                                    let batch = ShardMsg::Batch { interval, flows };
                                     senders[s]
                                         .send(batch)
                                         .expect("shard inbox outlives workers");
                                 }
                             }
-                            busy += t.elapsed();
-                            hours_ingested.inc();
+                            let busy = t.elapsed();
+                            if let Some(read) = read {
+                                pm.read_time.record(read);
+                            }
+                            pm.ingest_time.record(busy - read.unwrap_or_default());
+                            pm.hours_ingested.inc();
                             worker.inc();
                         }
                         // No more hours to route: tell every shard owner
@@ -584,9 +533,7 @@ impl<'a> AnalysisPipeline<'a> {
                         while dones < threads {
                             match rx.recv() {
                                 Ok(ShardMsg::Batch { interval, flows }) => {
-                                    let t = Instant::now();
-                                    acc.apply_hour(interval, &flows);
-                                    busy += t.elapsed();
+                                    apply(&mut acc, interval, &flows);
                                 }
                                 Ok(ShardMsg::Done) => dones += 1,
                                 Err(_) => break,
@@ -594,8 +541,7 @@ impl<'a> AnalysisPipeline<'a> {
                         }
                         let t = Instant::now();
                         let finished = acc.finish();
-                        busy += t.elapsed();
-                        ingest_time.record(busy);
+                        pm.ingest_time.record(t.elapsed());
                         (router.into_partial(), finished)
                     })
                 })
@@ -607,18 +553,13 @@ impl<'a> AnalysisPipeline<'a> {
         })
         .expect("sharded analysis scope does not panic");
 
-        self.assemble_sharded(partials, registry, pm)
-    }
+        if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
+            return Err(err);
+        }
 
-    /// Fold worker partials (in worker == ascending shard order) into
-    /// the final analysis, publish per-shard gauges and the stable
-    /// `analysis.*` counters, and time the (now trivial) merge.
-    fn assemble_sharded(
-        &self,
-        partials: Vec<(RouterPartial, ShardPartial)>,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Analysis {
+        // Fold worker partials (in worker == ascending shard order) into
+        // the final analysis, publish per-shard gauges and the stable
+        // `analysis.*` counters, and time the (trivial) merge.
         let mut routers = Vec::with_capacity(partials.len());
         let mut shards = Vec::with_capacity(partials.len());
         for (i, (rp, sp)) in partials.into_iter().enumerate() {
@@ -629,292 +570,11 @@ impl<'a> AnalysisPipeline<'a> {
         let merge_span = pm.merge_time.span();
         let analysis = shard::assemble(self.hours, routers, shards);
         drop(merge_span);
-        // The sharded path has no live per-hour analyzer metrics;
-        // recover the stable `analysis.*` totals from the result (they
-        // are exact column sums, identical to the sequential flushes).
+        // No live per-hour analyzer metrics exist here; recover the
+        // stable `analysis.*` totals from the result (they are exact
+        // column sums, identical to `Analyzer::with_metrics` flushes).
         analysis.publish_packet_counters(registry);
-        analysis
-    }
-
-    /// Store path, sequential: read, then the fused decode→ingest on
-    /// the caller's thread — v3 blocks stream straight into the
-    /// analyzer via [`FlowStore::visit_hour_for`], so an hour is never
-    /// materialized as a `Vec<FlowTuple>` (v1/v2 files materialize
-    /// inside the visit and arrive as a single slice).
-    fn run_store_inline(
-        &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        decode: DecodeOptions,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<Analysis, NetError> {
-        let worker = PipelineMetrics::worker_hours(registry, 0);
-        let mut an = Analyzer::with_metrics(self.db, self.hours, registry);
-        for &(interval, hour) in work {
-            let t0 = Instant::now();
-            // `fetch` rather than `read`: segment-resident hours arrive
-            // as zero-copy borrows of the mapped segment.
-            let bytes = store.fetch_hour_bytes(hour)?;
-            let t1 = Instant::now();
-            let mut ingest = an.begin_hour(interval);
-            store.visit_hour_for(hour, &bytes, decode, &mut ingest)?;
-            ingest.finish();
-            let t2 = Instant::now();
-            pm.read_time.record(t1 - t0);
-            pm.ingest_time.record(t2 - t1);
-            pm.hours_ingested.inc();
-            worker.inc();
-        }
-        Ok(an.finish())
-    }
-
-    /// Store path, pooled: a producer feeds `(interval, hour)` items
-    /// through a bounded channel to `threads` workers, each running
-    /// read → decode → ingest into its own [`Analyzer`]; partials are
-    /// merged at the end. On the first error a stop flag halts the
-    /// producer and the error with the smallest interval wins, so the
-    /// reported failure is deterministic.
-    fn run_store_pooled(
-        &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        threads: usize,
-        decode: DecodeOptions,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<Analysis, NetError> {
-        let stop = AtomicBool::new(false);
-        let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
-        let fail = |interval: u32, err: NetError| {
-            let mut slot = first_err.lock().expect("error slot not poisoned");
-            match &*slot {
-                Some((seen, _)) if *seen <= interval => {}
-                _ => *slot = Some((interval, err)),
-            }
-            stop.store(true, Ordering::Relaxed);
-        };
-
-        let partials: Vec<Analyzer<'_>> = crossbeam::scope(|scope| {
-            let (tx, rx) = crossbeam::channel::bounded::<(u32, UnixHour)>(threads * 2);
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let rx = rx.clone();
-                    let fail = &fail;
-                    let stop = &stop;
-                    let registry = registry.clone();
-                    let pm = PipelineMetrics::register(&registry);
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut an = Analyzer::with_metrics(self.db, self.hours, &registry);
-                        while let Ok((interval, hour)) = rx.recv() {
-                            if stop.load(Ordering::Relaxed) {
-                                continue; // drain so the producer never blocks
-                            }
-                            let t0 = Instant::now();
-                            let bytes = match store.fetch_hour_bytes(hour) {
-                                Ok(b) => b,
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            };
-                            let t1 = Instant::now();
-                            // Fused decode→ingest: blocks stream into the
-                            // analyzer as they are decoded. On error the
-                            // unfinished `HourIngest` is dropped — its
-                            // partial prefix dies with the worker partial
-                            // when the run as a whole fails.
-                            let mut ingest = an.begin_hour(interval);
-                            match store.visit_hour_for(hour, &bytes, decode, &mut ingest) {
-                                Ok(_) => ingest.finish(),
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            }
-                            let t2 = Instant::now();
-                            pm.read_time.record(t1 - t0);
-                            pm.ingest_time.record(t2 - t1);
-                            pm.hours_ingested.inc();
-                            worker.inc();
-                        }
-                        an
-                    })
-                })
-                .collect();
-            drop(rx);
-            for &(interval, hour) in work {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                if tx.send((interval, hour)).is_err() {
-                    break;
-                }
-            }
-            drop(tx);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("store worker does not panic"))
-                .collect()
-        })
-        .expect("store analysis scope does not panic");
-
-        if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
-            return Err(err);
-        }
-
-        let merge_span = pm.merge_time.span();
-        let mut iter = partials.into_iter();
-        let mut first = iter.next().expect("at least one worker partial");
-        for p in iter {
-            first.merge(p);
-        }
-        drop(merge_span);
-        Ok(first.finish())
-    }
-
-    /// Store path, device-sharded: like
-    /// [`run_memory_sharded`](Self::run_memory_sharded), but each
-    /// routed hour is read and fused-decoded straight into the router
-    /// (no `Vec<FlowTuple>` materialization). On the first error a stop
-    /// flag halts further routing; the in-flight hour protocol still
-    /// runs to completion (stopped workers keep draining their inboxes
-    /// without applying), and the error with the smallest interval
-    /// wins, as in the pooled path.
-    fn run_store_sharded(
-        &self,
-        store: &FlowStore,
-        work: &[(u32, UnixHour)],
-        threads: usize,
-        decode: DecodeOptions,
-        registry: &Registry,
-        pm: &PipelineMetrics,
-    ) -> Result<Analysis, NetError> {
-        let stop = AtomicBool::new(false);
-        let first_err: Mutex<Option<(u32, NetError)>> = Mutex::new(None);
-        let fail = |interval: u32, err: NetError| {
-            let mut slot = first_err.lock().expect("error slot not poisoned");
-            match &*slot {
-                Some((seen, _)) if *seen <= interval => {}
-                _ => *slot = Some((interval, err)),
-            }
-            stop.store(true, Ordering::Relaxed);
-        };
-
-        let map = ShardMap::new(self.db.len(), threads);
-        let next = AtomicUsize::new(0);
-        let partials: Vec<(RouterPartial, ShardPartial)> = crossbeam::scope(|scope| {
-            let channels: Vec<_> = (0..threads)
-                .map(|_| crossbeam::channel::unbounded::<ShardMsg>())
-                .collect();
-            let senders: Vec<_> = channels.iter().map(|(tx, _)| tx.clone()).collect();
-            let handles: Vec<_> = (0..threads)
-                .map(|i| {
-                    let rx = channels[i].1.clone();
-                    let senders = senders.clone();
-                    let next = &next;
-                    let stop = &stop;
-                    let fail = &fail;
-                    let registry = registry.clone();
-                    let wpm = PipelineMetrics::register(&registry);
-                    scope.spawn(move |_| {
-                        let worker = PipelineMetrics::worker_hours(&registry, i);
-                        let mut router = ShardRouter::new(self.db, self.hours, map);
-                        let mut acc = ShardAccumulator::new(self.hours, map.range(i));
-                        let mut dones = 0usize;
-                        loop {
-                            while let Ok(msg) = rx.try_recv() {
-                                match msg {
-                                    ShardMsg::Batch { interval, flows } => {
-                                        if !stop.load(Ordering::Relaxed) {
-                                            let t = Instant::now();
-                                            acc.apply_hour(interval, &flows);
-                                            wpm.ingest_time.record(t.elapsed());
-                                        }
-                                    }
-                                    ShardMsg::Done => dones += 1,
-                                }
-                            }
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= work.len() {
-                                break;
-                            }
-                            let (interval, hour) = work[k];
-                            let t0 = Instant::now();
-                            let bytes = match store.fetch_hour_bytes(hour) {
-                                Ok(b) => b,
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            };
-                            let t1 = Instant::now();
-                            // Fused decode→route. On error the hour is
-                            // abandoned unfinished: nothing was
-                            // committed or sent, and the next
-                            // begin_hour clears the buffers.
-                            router.begin_hour(interval);
-                            match store.visit_hour_for(hour, &bytes, decode, &mut router) {
-                                Ok(_) => {}
-                                Err(e) => {
-                                    fail(interval, e);
-                                    continue;
-                                }
-                            }
-                            for (s, flows) in router.finish_hour().into_iter().enumerate() {
-                                if flows.is_empty() {
-                                    continue;
-                                }
-                                if s == i {
-                                    acc.apply_hour(interval, &flows);
-                                } else {
-                                    let batch = ShardMsg::Batch { interval, flows };
-                                    senders[s]
-                                        .send(batch)
-                                        .expect("shard inbox outlives workers");
-                                }
-                            }
-                            let t2 = Instant::now();
-                            wpm.read_time.record(t1 - t0);
-                            wpm.ingest_time.record(t2 - t1);
-                            wpm.hours_ingested.inc();
-                            worker.inc();
-                        }
-                        for tx in &senders {
-                            tx.send(ShardMsg::Done)
-                                .expect("shard inbox outlives workers");
-                        }
-                        drop(senders);
-                        while dones < threads {
-                            match rx.recv() {
-                                Ok(ShardMsg::Batch { interval, flows }) => {
-                                    if !stop.load(Ordering::Relaxed) {
-                                        acc.apply_hour(interval, &flows);
-                                    }
-                                }
-                                Ok(ShardMsg::Done) => dones += 1,
-                                Err(_) => break,
-                            }
-                        }
-                        (router.into_partial(), acc.finish())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sharded store worker does not panic"))
-                .collect()
-        })
-        .expect("sharded store scope does not panic");
-
-        if let Some((_, err)) = first_err.into_inner().expect("error slot not poisoned") {
-            return Err(err);
-        }
-        Ok(self.assemble_sharded(partials, registry, pm))
+        Ok(analysis)
     }
 }
 
@@ -969,6 +629,7 @@ fn coverage(store: &FlowStore, window: &AnalysisWindow) -> Result<Coverage, NetE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Analyzer;
     use iotscope_net::store::StoreOptions;
     use iotscope_telescope::paper::{PaperScenario, PaperScenarioConfig};
     use std::path::PathBuf;
@@ -979,24 +640,33 @@ mod tests {
         dir
     }
 
+    /// The `analysis.*` entries of a snapshot.
+    fn analysis_entries(snapshot: &Snapshot) -> Vec<iotscope_obs::SnapshotEntry> {
+        snapshot
+            .entries()
+            .iter()
+            .filter(|e| e.name.starts_with("analysis."))
+            .cloned()
+            .collect()
+    }
+
     #[test]
     fn parallel_equals_sequential() {
         let built = PaperScenario::build(PaperScenarioConfig::tiny(21));
         let traffic: Vec<HourTraffic> = (1..=24).map(|i| built.scenario.generate_hour(i)).collect();
         let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
-        let seq = pipeline
-            .run(&traffic, &AnalyzeOptions::new())
-            .unwrap()
-            .analysis;
-        let par = pipeline
-            .run(&traffic, &AnalyzeOptions::new().threads(4))
-            .unwrap()
-            .analysis;
-        assert_eq!(seq.devices, par.devices);
-        assert_eq!(seq.protocol_packets, par.protocol_packets);
-        assert_eq!(seq.scan_services, par.scan_services);
-        assert_eq!(seq.udp_ports, par.udp_ports);
-        assert_eq!(seq.unmatched_flows, par.unmatched_flows);
+        let mut an = Analyzer::new(&built.inventory.db, 143);
+        for hour in &traffic {
+            an.ingest_hour(hour);
+        }
+        let seq = an.finish();
+        for threads in [1, 4] {
+            let par = pipeline
+                .run(&traffic, &AnalyzeOptions::new().threads(threads))
+                .unwrap()
+                .analysis;
+            assert_eq!(seq, par, "threads={threads}");
+        }
     }
 
     #[test]
@@ -1004,6 +674,12 @@ mod tests {
         let built = PaperScenario::build(PaperScenarioConfig::tiny(25));
         let traffic: Vec<HourTraffic> = (1..=24).map(|i| built.scenario.generate_hour(i)).collect();
         let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
+        let reference = Registry::new();
+        let mut an = Analyzer::with_metrics(&built.inventory.db, 143, &reference);
+        for hour in &traffic {
+            an.ingest_hour(hour);
+        }
+        an.finish();
         let r1 = Registry::new();
         let r4 = Registry::new();
         pipeline
@@ -1016,6 +692,11 @@ mod tests {
             r1.snapshot().stable_only(),
             r4.snapshot().stable_only(),
             "stable counters must not depend on thread count"
+        );
+        assert_eq!(
+            analysis_entries(&r1.snapshot()),
+            analysis_entries(&reference.snapshot()),
+            "analysis.* counters must match Analyzer::with_metrics"
         );
     }
 

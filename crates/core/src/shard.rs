@@ -1,15 +1,17 @@
-//! Device-space sharded parallel analysis (DESIGN.md §3e).
+//! Device-space sharded analysis (DESIGN.md §3e): the one worker loop
+//! behind every [`AnalysisPipeline`](crate::pipeline::AnalysisPipeline)
+//! run, single-threaded runs included.
 //!
-//! The hour-partitioned pool carries one full-width [`Analyzer`] per
-//! worker, so at paper scale the single-threaded merge of N 331k-row
-//! device tables dominates and `analyze_store_parallel4` *loses* to
-//! sequential. This module partitions the *device space* instead: a
-//! [`ShardMap`] assigns every dense intern index to one contiguous
-//! shard, each worker owns one shard's aggregates, and the final merge
-//! is a concatenation of disjoint dense-index ranges
-//! ([`DeviceTable::concat_from`]) plus a cheap scalar reduction.
+//! Partitioning the *hours* instead would give every worker a
+//! full-width [`Analyzer`], and at paper scale the single-threaded
+//! merge of N 331k-row device tables would dominate. This module
+//! partitions the *device space*: a [`ShardMap`] assigns every dense
+//! intern index to one contiguous shard, each worker owns one shard's
+//! aggregates, and the final merge is a concatenation of disjoint
+//! dense-index ranges ([`DeviceTable::concat_from`]) plus a cheap
+//! scalar reduction.
 //!
-//! Two roles cooperate, and every pool worker plays both:
+//! Two roles cooperate, and every worker plays both:
 //!
 //! * a **router** ([`ShardRouter`]) decodes whole hours (it is the
 //!   [`FlowSink`] on the fused decode path), correlates each flow to a

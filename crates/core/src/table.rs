@@ -53,9 +53,9 @@ enum SetRepr {
 /// (≤ 128 members, the overwhelming majority of the per-service
 /// sets), promoted to a bitmap once it grows (a
 /// 331k-device inventory fits in ~41 KiB). This keeps the union used by
-/// [`Analyzer::merge`](crate::analysis::Analyzer::merge) proportional
-/// to the *members* of small sets rather than the inventory size, while
-/// large cohorts still merge as word-wise ORs. Equality is
+/// [`shard::assemble`](crate::shard::assemble) proportional to the
+/// *members* of small sets rather than the inventory size, while large
+/// cohorts still merge as word-wise ORs. Equality is
 /// representation- and capacity-insensitive: two sets with the same
 /// members always compare equal.
 #[derive(Debug, Clone)]
@@ -456,7 +456,12 @@ impl DeviceTable {
     /// Merge another table built over disjoint observations of the same
     /// inventory: matching rows are added field-wise (min for
     /// `first_interval`, OR for `days_active`), new rows are appended.
-    pub fn merge_from(&mut self, other: DeviceTable) {
+    ///
+    /// Test-only reference: the row-by-row upsert that
+    /// [`concat_from`](Self::concat_from) must agree with on
+    /// shard-disjoint tables.
+    #[cfg(test)]
+    fn merge_from(&mut self, other: DeviceTable) {
         if self.is_empty() {
             *self = other;
             return;
@@ -478,12 +483,11 @@ impl DeviceTable {
     /// *shard-disjoint* partials, where each table covers its own range
     /// of the dense device index and no id can appear in both.
     ///
-    /// Unlike [`merge_from`](Self::merge_from), which upserts row by
-    /// row and adds columns field-wise, this is a straight
-    /// `extend_from_slice` per column plus a sparse-index fix-up:
-    /// O(rows) with no per-row branch on existing state. When partials
-    /// arrive in ascending shard order and each is already
-    /// [`normalize`](Self::normalize)d, the concatenated table is
+    /// Rather than upserting row by row and adding columns field-wise,
+    /// this is a straight `extend_from_slice` per column plus a
+    /// sparse-index fix-up: O(rows) with no per-row branch on existing
+    /// state. When partials arrive in ascending shard order and each is
+    /// already [`normalize`](Self::normalize)d, the concatenated table is
     /// globally sorted, so the final `normalize()` is a no-op and the
     /// result is bit-identical to a sequential build.
     ///

@@ -6,7 +6,7 @@
 //! snapshot `Arc`, so slow clients never block ingest.
 
 use crate::{error_body, TelescopeService};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,6 +16,16 @@ use std::time::Duration;
 /// How long an idle keep-alive connection may sit between requests
 /// before the handler thread gives up on it.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request line or header line accepted, terminator included.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// Most header lines accepted in one request.
+const MAX_HEADER_LINES: usize = 64;
+
+/// Input drained after a 431 before the connection closes (see
+/// [`reject_head`]).
+const DRAIN_BYTES: u64 = 64 * 1024;
 
 /// The listener: an accept-loop thread spawning one handler thread per
 /// connection. Dropping (or [`shutdown`](Self::shutdown)) stops the
@@ -101,10 +111,11 @@ fn handle_connection(
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut request_line = String::new();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(()); // peer closed
-        }
+        let request_line = match read_head_line(&mut reader)? {
+            HeadLine::Text(line) => line,
+            HeadLine::Closed => return Ok(()),
+            HeadLine::TooLong => return reject_head(&mut reader),
+        };
         let mut parts = request_line.split_whitespace();
         let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
             (Some(m), Some(t), v) => (m.to_owned(), t.to_owned(), v.unwrap_or("").to_owned()),
@@ -118,14 +129,20 @@ fn handle_connection(
         // HTTP/1.0 (and anything unrecognized) closes — and an explicit
         // `Connection` header overrides either way.
         let mut keep_alive = version == "HTTP/1.1";
+        let mut header_lines = 0;
         loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header)? == 0 {
-                return Ok(());
-            }
+            let header = match read_head_line(&mut reader)? {
+                HeadLine::Text(line) => line,
+                HeadLine::Closed => return Ok(()),
+                HeadLine::TooLong => return reject_head(&mut reader),
+            };
             let header = header.trim_end();
             if header.is_empty() {
                 break;
+            }
+            header_lines += 1;
+            if header_lines > MAX_HEADER_LINES {
+                return reject_head(&mut reader);
             }
             if let Some(v) = header
                 .to_ascii_lowercase()
@@ -151,6 +168,48 @@ fn handle_connection(
     }
 }
 
+/// One line of a request head.
+enum HeadLine {
+    /// A complete line, terminator included.
+    Text(String),
+    /// The peer closed before completing a line.
+    Closed,
+    /// [`MAX_LINE_BYTES`] arrived without a line terminator.
+    TooLong,
+}
+
+/// Read one `\n`-terminated line, buffering at most
+/// [`MAX_LINE_BYTES`] of it, so a peer that never ends its line cannot
+/// grow server memory.
+fn read_head_line(reader: &mut BufReader<TcpStream>) -> io::Result<HeadLine> {
+    let mut line = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES)
+        .read_until(b'\n', &mut line)?;
+    Ok(if line.last() == Some(&b'\n') {
+        HeadLine::Text(String::from_utf8_lossy(&line).into_owned())
+    } else if n as u64 == MAX_LINE_BYTES {
+        HeadLine::TooLong
+    } else {
+        HeadLine::Closed
+    })
+}
+
+/// Answer `431 Request Header Fields Too Large` and close. The peer may
+/// still be sending the rest of its oversized head, and closing a
+/// socket with unread input resets the connection, which can destroy
+/// the response before the peer reads it; so the write side shuts
+/// first and up to [`DRAIN_BYTES`] of input are discarded.
+fn reject_head(reader: &mut BufReader<TcpStream>) -> io::Result<()> {
+    let body = error_body("request header fields too large");
+    write_response(reader.get_mut(), 431, &body, false)?;
+    reader.get_ref().shutdown(Shutdown::Write)?;
+    // A drain error only means the peer is already gone.
+    let _ = io::copy(&mut reader.by_ref().take(DRAIN_BYTES), &mut io::sink());
+    Ok(())
+}
+
 fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -162,6 +221,7 @@ fn write_response(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let header = format!(

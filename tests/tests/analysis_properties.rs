@@ -1,7 +1,9 @@
-//! Property tests for the columnar analysis model: the merge operation
-//! must form a commutative monoid over disjoint hour partitions, and
-//! every memoized [`AnalysisView`] query must equal a brute-force
+//! Property tests for the columnar analysis model: device-sharded
+//! analysis must be bit-identical to the sequential [`Analyzer`] pass,
+//! and every memoized [`AnalysisView`] query must equal a brute-force
 //! recomputation from the raw per-device rows.
+//!
+//! [`AnalysisView`]: iotscope_core::AnalysisView
 
 use iotscope_core::analysis::{Analysis, Analyzer};
 use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
@@ -10,9 +12,10 @@ use iotscope_core::TrafficClass;
 use iotscope_devicedb::{DeviceId, Realm, ShardMap};
 use iotscope_net::store::{decode_hour_visit, encode_hour, DecodeOptions, StoreOptions};
 use iotscope_net::time::UnixHour;
-use iotscope_obs::Registry;
+use iotscope_obs::{Registry, SnapshotEntry};
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
 use iotscope_telescope::HourTraffic;
+use iotscope_tests::{analysis_counters, sequential_reference};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -32,27 +35,14 @@ fn num_hours() -> u32 {
     built.scenario.telescope().window.num_hours()
 }
 
-/// Analyze one disjoint slice of hours into a partial `Analysis`.
+/// One sequential [`Analyzer`] over a subset of the shared hours.
 fn partial(hour_indices: &[usize]) -> Analysis {
     let (built, traffic) = shared();
     let mut an = Analyzer::new(&built.inventory.db, num_hours());
     for &i in hour_indices {
         an.ingest_hour(&traffic[i]);
     }
-    // Partials are merged further, so keep them un-normalized the way
-    // the parallel pipeline does: peek-equivalent state via resume.
     an.finish()
-}
-
-fn merged(parts: Vec<Analysis>) -> Analysis {
-    let (built, _) = shared();
-    let mut iter = parts.into_iter();
-    let first = iter.next().expect("at least one partial");
-    let mut acc = Analyzer::resume(&built.inventory.db, first);
-    for p in iter {
-        acc.merge(Analyzer::resume(&built.inventory.db, p));
-    }
-    acc.finish()
 }
 
 /// Strategy: a random partition of `0..n` hours into `k` disjoint
@@ -67,27 +57,15 @@ fn partition_strategy(n: usize, k: usize) -> impl Strategy<Value = Vec<Vec<usize
     })
 }
 
-/// The sequential reference over all 143 hours, computed once.
-fn sequential_full() -> &'static Analysis {
-    static SEQ: OnceLock<Analysis> = OnceLock::new();
+/// The sequential reference over all 143 hours and the `analysis.*`
+/// counters `Analyzer::with_metrics` published for it, computed once —
+/// what every sharded run, by hand or through the pipeline, must
+/// reproduce.
+fn sequential_full() -> &'static (Analysis, Vec<SnapshotEntry>) {
+    static SEQ: OnceLock<(Analysis, Vec<SnapshotEntry>)> = OnceLock::new();
     SEQ.get_or_init(|| {
-        let all: Vec<usize> = (0..143).collect();
-        partial(&all)
-    })
-}
-
-/// The stable metric snapshot of a single-threaded pipeline run over
-/// the full traffic, computed once — the reference every sharded run's
-/// stable counters must reproduce.
-fn sequential_stable() -> &'static iotscope_obs::Snapshot {
-    static SNAP: OnceLock<iotscope_obs::Snapshot> = OnceLock::new();
-    SNAP.get_or_init(|| {
         let (built, traffic) = shared();
-        let registry = Registry::new();
-        AnalysisPipeline::new(&built.inventory.db, num_hours())
-            .run(traffic, &AnalyzeOptions::new().metrics(&registry))
-            .unwrap();
-        registry.snapshot().stable_only()
+        sequential_reference(&built.inventory.db, num_hours(), traffic)
     })
 }
 
@@ -121,40 +99,6 @@ fn sharded_by_hand(groups: &[Vec<usize>], shards: usize) -> Analysis {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Merging disjoint hour partitions is commutative: any order of the
-    /// same partials produces the same finished analysis.
-    #[test]
-    fn prop_merge_is_commutative(
-        groups in partition_strategy(143, 3),
-        perm in Just([1usize, 2, 0]),
-    ) {
-        let parts: Vec<Analysis> = groups.iter().map(|g| partial(g)).collect();
-        let forward = merged(parts.clone());
-        let permuted: Vec<Analysis> = perm.iter().map(|&i| parts[i].clone()).collect();
-        let backward = merged(permuted);
-        prop_assert_eq!(forward, backward);
-    }
-
-    /// Merging is associative: ((a∪b)∪c) == (a∪(b∪c)), and both equal
-    /// the sequential single-analyzer pass over all hours.
-    #[test]
-    fn prop_merge_is_associative_and_matches_sequential(
-        groups in partition_strategy(143, 3),
-    ) {
-        let a = partial(&groups[0]);
-        let b = partial(&groups[1]);
-        let c = partial(&groups[2]);
-
-        let left = merged(vec![merged(vec![a.clone(), b.clone()]), c.clone()]);
-        let right = merged(vec![a, merged(vec![b, c])]);
-        prop_assert_eq!(&left, &right);
-
-        let all: Vec<usize> = (0..143).collect();
-        let sequential = partial(&all);
-        prop_assert_eq!(&left, &sequential);
-        prop_assert_eq!(left.devices.ids(), sequential.devices.ids());
-    }
 
     /// Every memoized view query equals a brute-force recomputation
     /// from the raw device rows, on an arbitrary subset of hours.
@@ -232,8 +176,8 @@ proptest! {
     /// pass: full structural equality of the assembled [`Analysis`]
     /// (including the concatenated device-table row order) for any
     /// assignment of hours to routers and any shard count 1..=8, and
-    /// the pipeline's sharded mode reproduces the sequential stable
-    /// metric snapshot exactly.
+    /// the pipeline reproduces the sequential analysis and the
+    /// `analysis.*` counters `Analyzer::with_metrics` publishes.
     #[test]
     fn prop_sharded_is_bit_identical_to_sequential(
         shards in 1usize..=8,
@@ -246,7 +190,7 @@ proptest! {
         for (g, hours) in assignment.into_iter().enumerate() {
             groups[g % routers].extend(hours);
         }
-        let sequential = sequential_full();
+        let (sequential, sequential_counters) = sequential_full();
         let sharded = sharded_by_hand(&groups, shards);
         prop_assert_eq!(&sharded, sequential, "shards={} routers={}", shards, groups.len());
         // PartialEq on DeviceTable ignores row order; pin it down too —
@@ -255,17 +199,19 @@ proptest! {
 
         let (built, traffic) = shared();
         let registry = Registry::new();
-        AnalysisPipeline::new(&built.inventory.db, num_hours())
+        let piped = AnalysisPipeline::new(&built.inventory.db, num_hours())
             .run(
                 traffic,
-                &AnalyzeOptions::new().threads(shards.max(2)).metrics(&registry),
+                &AnalyzeOptions::new().threads(shards).metrics(&registry),
             )
-            .unwrap();
+            .unwrap()
+            .analysis;
+        prop_assert_eq!(&piped, sequential, "pipeline at threads={}", shards);
         prop_assert_eq!(
-            &registry.snapshot().stable_only(),
-            sequential_stable(),
-            "stable metrics drift in sharded mode at threads={}",
-            shards.max(2)
+            &analysis_counters(&registry.snapshot().stable_only()),
+            sequential_counters,
+            "analysis.* counters drift at threads={}",
+            shards
         );
     }
 
@@ -300,7 +246,7 @@ proptest! {
         for &(pos, mask) in &corrupt {
             victim_bytes[index_end + pos as usize % payload] ^= mask | 1;
         }
-        let opts = DecodeOptions { threads: 1, quarantine: true };
+        let opts = DecodeOptions { quarantine: true };
 
         let mut seq = Analyzer::new(db, hours);
         for (interval, bytes) in [(clean.interval, &clean_bytes), (victim.interval, &victim_bytes)] {

@@ -146,13 +146,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Over a random prefix of the window, every path's port table
-    /// equals the naive reference, and so does the merge of two
-    /// hour-disjoint partials (whose device sets overlap).
+    /// equals the naive reference.
     #[test]
     fn prop_port_table_matches_naive_reference(
         prefix in 1usize..=143,
         shards in 1usize..=64,
-        split in 0usize..=143,
     ) {
         let hours = &shared().traffic[..prefix];
         let expected = reference(hours);
@@ -165,18 +163,6 @@ proptest! {
             if let Err(e) = check(&analysis.udp_ports, &expected) {
                 return Err(TestCaseError::fail(format!("{path}: {e}")));
             }
-        }
-
-        let db = &shared().built.inventory.db;
-        let split = split.min(prefix);
-        let mut early = Analyzer::new(db, prefix as u32);
-        let mut late = Analyzer::new(db, prefix as u32);
-        for (i, hour) in hours.iter().enumerate() {
-            if i < split { early.ingest_hour(hour) } else { late.ingest_hour(hour) }
-        }
-        early.merge(late);
-        if let Err(e) = check(&early.finish().udp_ports, &expected) {
-            return Err(TestCaseError::fail(format!("merge: {e}")));
         }
     }
 }

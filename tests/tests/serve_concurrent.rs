@@ -326,3 +326,69 @@ fn http_1_0_connection_defaults_per_protocol() {
         assert_eq!(status, 200);
     }
 }
+
+/// The request head is bounded: a request line that never ends and a
+/// request with too many header lines are each answered with 431 and a
+/// closed connection, and the same server keeps serving well-formed
+/// requests.
+#[test]
+fn http_request_head_is_bounded() {
+    let inv = inventory();
+    let service = Arc::new(TelescopeService::new(
+        inv.db.clone(),
+        inv.isps.clone(),
+        WINDOW_HOURS,
+    ));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("ephemeral bind");
+    let connect = || {
+        let stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        BufReader::new(stream)
+    };
+    let assert_rejected_and_closed = |mut conn: BufReader<TcpStream>, case: &str| {
+        let (status, body) = read_response(&mut conn);
+        assert_eq!(status, 431, "{case}: {body}");
+        assert!(body.contains("error"), "{case}: {body}");
+        let mut rest = Vec::new();
+        match conn.read_to_end(&mut rest) {
+            Ok(0) => {}
+            Ok(n) => panic!("{case}: {n} bytes after the 431"),
+            Err(e) => panic!("{case}: connection not closed cleanly after the 431 ({e})"),
+        }
+    };
+
+    // 64 KiB with no line terminator.
+    let mut conn = connect();
+    conn.get_mut()
+        .write_all(&vec![b'A'; 64 * 1024])
+        .expect("write endless request line");
+    assert_rejected_and_closed(conn, "endless request line");
+
+    // 64 header lines are accepted; a 65th is one too many.
+    let head = |headers: usize| {
+        let mut req = String::from("GET /healthz HTTP/1.1\r\nHost: test\r\n");
+        for i in 1..headers {
+            req.push_str(&format!("X-Pad-{i}: v\r\n"));
+        }
+        req + "\r\n"
+    };
+    let mut conn = connect();
+    conn.get_mut()
+        .write_all(head(64).as_bytes())
+        .expect("write 64 headers");
+    let (status, _) = read_response(&mut conn);
+    assert_eq!(status, 200, "64 header lines");
+    let mut conn = connect();
+    conn.get_mut()
+        .write_all(head(65).as_bytes())
+        .expect("write 65 headers");
+    assert_rejected_and_closed(conn, "65 header lines");
+
+    // The server still answers a normal request.
+    let mut conn = connect();
+    let (status, body) = get(&mut conn, "/healthz");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+}

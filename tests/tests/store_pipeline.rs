@@ -2,13 +2,14 @@
 //! the same analysis as the in-memory path, survive the paper's
 //! data-quality rules, and fail loudly on corruption.
 
-use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions, ParallelMode};
+use iotscope_core::pipeline::{AnalysisPipeline, AnalyzeOptions};
 use iotscope_core::report::{Report, ReportContext};
 use iotscope_core::Analysis;
 use iotscope_net::store::{FlowStore, StoreOptions};
 use iotscope_net::time::AnalysisWindow;
-use iotscope_obs::Registry;
+use iotscope_obs::{Registry, SnapshotEntry};
 use iotscope_telescope::paper::{BuiltScenario, PaperScenario, PaperScenarioConfig};
+use iotscope_tests::{analysis_counters, sequential_reference};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -20,14 +21,19 @@ fn tmpdir(name: &str) -> PathBuf {
 }
 
 /// One shared 143-hour scenario written to disk, so the property tests
-/// below don't rebuild it per case. The sequential store analysis is
-/// the reference every parallel configuration must reproduce.
+/// below don't rebuild it per case. A sequential [`Analyzer`] pass over
+/// the same hours is the reference every pipeline run — any source,
+/// any thread count — must reproduce.
+///
+/// [`Analyzer`]: iotscope_core::Analyzer
 struct SharedStore {
     built: BuiltScenario,
     window: AnalysisWindow,
     store: FlowStore,
     traffic: Vec<iotscope_telescope::HourTraffic>,
     sequential: Analysis,
+    /// The `analysis.*` counters the sequential pass published.
+    sequential_counters: Vec<SnapshotEntry>,
 }
 
 fn shared_store() -> &'static SharedStore {
@@ -38,18 +44,16 @@ fn shared_store() -> &'static SharedStore {
         let dir = tmpdir("shared-prop");
         let store = FlowStore::create(&dir, StoreOptions::default()).unwrap();
         built.scenario.write_to_store(&store).unwrap();
-        let pipeline = AnalysisPipeline::new(&built.inventory.db, window.num_hours());
-        let outcome = pipeline
-            .run(&store, &AnalyzeOptions::new().window(window))
-            .unwrap();
-        assert!(outcome.dropped_days.is_empty());
         let traffic = built.scenario.generate();
+        let (sequential, sequential_counters) =
+            sequential_reference(&built.inventory.db, window.num_hours(), &traffic);
         SharedStore {
             built,
             window,
             store,
             traffic,
-            sequential: outcome.analysis,
+            sequential,
+            sequential_counters,
         }
     })
 }
@@ -195,11 +199,8 @@ fn sequential_and_parallel_analysis_agree_end_to_end() {
     let built = PaperScenario::build(PaperScenarioConfig::tiny(10));
     let traffic = built.scenario.generate();
     let pipeline = AnalysisPipeline::new(&built.inventory.db, 143);
-    let seq = pipeline
-        .run(&traffic, &AnalyzeOptions::new())
-        .unwrap()
-        .analysis;
-    for threads in [2usize, 3, 8, 64] {
+    let (seq, _) = sequential_reference(&built.inventory.db, 143, &traffic);
+    for threads in [1usize, 2, 3, 8, 64] {
         let par = pipeline
             .run(&traffic, &AnalyzeOptions::new().threads(threads))
             .unwrap()
@@ -214,7 +215,7 @@ fn sequential_and_parallel_analysis_agree_end_to_end() {
 fn parallel_store_analysis_matches_sequential_on_full_window() {
     let shared = shared_store();
     let pipeline = AnalysisPipeline::new(&shared.built.inventory.db, shared.window.num_hours());
-    for threads in [2usize, 4, 7] {
+    for threads in [1usize, 2, 4, 7] {
         let result = pipeline
             .run(
                 &shared.store,
@@ -275,9 +276,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any thread count — zero, more threads than hours, anything in
-    /// between — must reproduce the sequential result exactly, on both
-    /// the in-memory and the store-backed parallel paths, and the
-    /// stable (non-timing) metrics must be bit-identical to a
+    /// between — must reproduce the sequential `Analyzer` pass exactly,
+    /// from the store and from memory; the `analysis.*` counters must
+    /// equal the ones `Analyzer::with_metrics` publishes, and every
+    /// stable (non-timing) metric must be bit-identical to a
     /// single-threaded run.
     #[test]
     fn prop_any_thread_count_matches_sequential(threads in 0usize..200) {
@@ -298,14 +300,17 @@ proptest! {
                 .unwrap();
             (outcome, registry.snapshot().stable_only())
         };
-        let (base, base_stable) = run_store(1);
+        let (_, base_stable) = run_store(1);
         let (par, par_stable) = run_store(threads);
         prop_assert!(par.dropped_days.is_empty());
-        prop_assert_eq!(&shared.sequential.devices, &par.analysis.devices);
-        prop_assert_eq!(&shared.sequential.scan_services, &par.analysis.scan_services);
-        prop_assert_eq!(&shared.sequential.udp_ports, &par.analysis.udp_ports);
-        prop_assert_eq!(&shared.sequential.unmatched_flows, &par.analysis.unmatched_flows);
-        prop_assert_eq!(&base.analysis.devices, &par.analysis.devices);
+        prop_assert_eq!(&shared.sequential, &par.analysis, "store run at threads={}", threads);
+        prop_assert_eq!(par.analysis.devices.ids(), shared.sequential.devices.ids());
+        prop_assert_eq!(
+            &analysis_counters(&par_stable),
+            &shared.sequential_counters,
+            "analysis.* counters differ from Analyzer::with_metrics at threads={}",
+            threads
+        );
 
         // Work counters — store bytes/records, hours ingested, analysis
         // class totals — are deterministic; only timings/gauges vary.
@@ -315,56 +320,7 @@ proptest! {
             .run(&shared.traffic, &AnalyzeOptions::new().threads(threads))
             .unwrap()
             .analysis;
-        prop_assert_eq!(&shared.sequential.devices, &mem.devices);
-        prop_assert_eq!(&shared.sequential.backscatter_intervals, &mem.backscatter_intervals);
-
-        // The hour-pooled mode must match too, now that sharded is the
-        // default — same aggregates, same stable metrics.
-        let pooled_registry = Registry::new();
-        let pooled = pipeline
-            .run(
-                &shared.store,
-                &AnalyzeOptions::new()
-                    .window(shared.window)
-                    .threads(threads)
-                    .mode(ParallelMode::Pooled)
-                    .metrics(&pooled_registry),
-            )
-            .unwrap();
-        prop_assert_eq!(&shared.sequential.devices, &pooled.analysis.devices);
-        prop_assert_eq!(&shared.sequential.scan_services, &pooled.analysis.scan_services);
-        prop_assert_eq!(
-            &base_stable,
-            &pooled_registry.snapshot().stable_only(),
-            "pooled stable metrics differ at threads={}",
-            threads
-        );
-
-        // Degenerate pool: with at least as many workers as hours, the
-        // pooled mode routes to the inline path — no per-worker
-        // analyzers are built, so there is nothing to merge.
-        let slice = &shared.traffic[..3];
-        let seq_slice = pipeline.run(slice, &AnalyzeOptions::new()).unwrap().analysis;
-        let degen = pipeline
-            .run(
-                slice,
-                &AnalyzeOptions::new()
-                    .threads(threads)
-                    .mode(ParallelMode::Pooled)
-                    .stats(true),
-            )
-            .unwrap();
-        prop_assert_eq!(&seq_slice.devices, &degen.analysis.devices);
-        prop_assert_eq!(&seq_slice.udp_ports, &degen.analysis.udp_ports);
-        if threads.clamp(1, 64) >= slice.len() {
-            let stats = degen.stats.expect("stats were requested");
-            prop_assert_eq!(
-                stats.merge_time,
-                std::time::Duration::ZERO,
-                "degenerate pool must not merge (threads={})",
-                threads
-            );
-        }
+        prop_assert_eq!(&shared.sequential, &mem, "memory run at threads={}", threads);
     }
 }
 
